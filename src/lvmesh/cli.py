@@ -222,8 +222,7 @@ def cmd_metrics(args):
     if args.surface_a and args.surface_b:
         a = vtkio.read_polydata(args.surface_a)
         b = vtkio.read_polydata(args.surface_b)
-        out["mad_mm"] = metrics.mad(a, b)
-        out["hausdorff_mm"] = metrics.hausdorff(a, b)
+        out["mad_mm"], out["hausdorff_mm"] = metrics.surface_distances(a, b)
     if args.mesh_a and args.mesh_b:
         a = vtkio.read_unstructured_grid(args.mesh_a)
         b = vtkio.read_unstructured_grid(args.mesh_b)

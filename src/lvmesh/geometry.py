@@ -3,6 +3,8 @@ and exact point-to-surface distances."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -18,6 +20,15 @@ __all__ = [
     "point_triangle_distances",
     "points_to_surface_distance",
 ]
+
+# The exact surface queries below test flattened (query, triangle) pairs:
+# one KD-tree ball search per block of _QUERY_BLOCK queries, one vectorized
+# test per block of at most _PAIR_BLOCK pairs, which bounds their temporary
+# arrays to a few MiB.  The distance query splits the triangles into
+# _RADIUS_BUCKETS equal-count groups by centroid-to-corner radius.
+_QUERY_BLOCK = 1024
+_PAIR_BLOCK = 8192
+_RADIUS_BUCKETS = 4
 
 
 def triangle_normals(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -59,11 +70,24 @@ def euler_characteristic(vertices, triangles) -> int:
     return nv - len(keys) + len(triangles)
 
 
+def _ball_pairs(tree: cKDTree, queries: np.ndarray, radii: np.ndarray):
+    """Flattened (query, tree point) index pairs of per-query ball searches."""
+    hits = tree.query_ball_point(queries, radii, return_sorted=False)
+    counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+    query = np.repeat(np.arange(len(hits)), counts)
+    found = np.fromiter(
+        itertools.chain.from_iterable(hits), dtype=np.intp, count=int(counts.sum())
+    )
+    return query, found
+
+
 def _ray_crossings(points: np.ndarray, vertices: np.ndarray, triangles: np.ndarray):
     """Count +x ray/surface crossings per query point (watertight input assumed).
 
     Query (y, z) coordinates are jittered by a tiny fixed offset so rays do
-    not pass exactly through triangle edges or vertices.
+    not pass exactly through triangle edges or vertices.  Each block of
+    triangles finds the points in its (y, z) bounding disks with one ball
+    search; the (triangle, point) pairs are then tested together.
     """
     pts = np.asarray(points, dtype=np.float64)
     verts = vertices.astype(np.float64)
@@ -80,29 +104,29 @@ def _ray_crossings(points: np.ndarray, vertices: np.ndarray, triangles: np.ndarr
     radii = np.maximum.reduce(
         [np.linalg.norm(v[:, 1:3] - centers, axis=1) for v in (a, b, c)]
     )
-    for k in range(len(triangles)):
-        idx = tree.query_ball_point(centers[k], radii[k] + 1e-12)
-        if not idx:
-            continue
-        idx = np.asarray(idx)
-        p = pts[idx]
-        # 2D barycentric test in the (y, z) projection
-        v0 = b[k, 1:3] - a[k, 1:3]
-        v1 = c[k, 1:3] - a[k, 1:3]
-        den = v0[0] * v1[1] - v0[1] * v1[0]
-        if abs(den) < 1e-300:
-            continue
-        w = p[:, 1:3] - a[k, 1:3]
-        s = (w[:, 0] * v1[1] - w[:, 1] * v1[0]) / den
-        t = (v0[0] * w[:, 1] - v0[1] * w[:, 0]) / den
-        hit = (s > 0.0) & (t > 0.0) & (s + t < 1.0)
-        if not np.any(hit):
-            continue
-        # x coordinate of the intersection with the triangle plane
-        s_h, t_h = s[hit], t[hit]
-        x_int = a[k, 0] + s_h * (b[k, 0] - a[k, 0]) + t_h * (c[k, 0] - a[k, 0])
-        sel = idx[hit]
-        crossings[sel] += (x_int > pts[sel, 0]).astype(np.int64)
+    # 2D barycentric frame of each triangle in the (y, z) projection
+    v0 = (b - a)[:, 1:3]
+    v1 = (c - a)[:, 1:3]
+    den = v0[:, 0] * v1[:, 1] - v0[:, 1] * v1[:, 0]
+    # x edge components for the intersection with the triangle plane
+    e0x = b[:, 0] - a[:, 0]
+    e1x = c[:, 0] - a[:, 0]
+    usable = np.flatnonzero(~(np.abs(den) < 1e-300))
+    for lo in range(0, len(usable), _QUERY_BLOCK):
+        tri_block = usable[lo : lo + _QUERY_BLOCK]
+        tri, idx = _ball_pairs(tree, centers[tri_block], radii[tri_block] + 1e-12)
+        tri = tri_block[tri]
+        for plo in range(0, len(tri), _PAIR_BLOCK):
+            k = tri[plo : plo + _PAIR_BLOCK]
+            i = idx[plo : plo + _PAIR_BLOCK]
+            w0 = pts[i, 1] - a[k, 1]
+            w1 = pts[i, 2] - a[k, 2]
+            s = (w0 * v1[k, 1] - w1 * v1[k, 0]) / den[k]
+            t = (v0[k, 0] * w1 - v0[k, 1] * w0) / den[k]
+            hit = (s > 0.0) & (t > 0.0) & (s + t < 1.0)
+            k, i = k[hit], i[hit]
+            x_int = a[k, 0] + s[hit] * e0x[k] + t[hit] * e1x[k]
+            np.add.at(crossings, i, (x_int > pts[i, 0]).astype(np.int64))
     return crossings
 
 
@@ -160,12 +184,15 @@ def point_triangle_distances(points: np.ndarray, a, b, c) -> np.ndarray:
     return np.linalg.norm(q - p, axis=1)
 
 
-def points_to_surface_distance(points, vertices, triangles, batch: int = 2048) -> np.ndarray:
+def points_to_surface_distance(points, vertices, triangles) -> np.ndarray:
     """Exact minimum distance from each point to a triangle surface.
 
-    A KD-tree on triangle centroids prunes candidates; an upper bound from
-    the nearest few triangles plus the largest centroid-to-corner radius
-    makes the pruning exact.
+    KD-trees on triangle centroids prune candidates.  An upper bound ``ub``
+    from the nearest few triangles makes the pruning exact: the closest
+    triangle's centroid lies within ``ub`` plus its centroid-to-corner
+    radius.  Triangles are bucketed by that radius and each bucket is
+    searched with its own largest radius, so a few long triangles do not
+    widen the search for the rest.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     verts = np.asarray(vertices, dtype=np.float64)
@@ -174,26 +201,32 @@ def points_to_surface_distance(points, vertices, triangles, batch: int = 2048) -
         raise ValueError("empty surface")
     a, b, c = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
     centers = (a + b + c) / 3.0
-    rmax = float(
-        np.max(np.maximum.reduce([np.linalg.norm(v - centers, axis=1) for v in (a, b, c)]))
-    )
+    radii = np.maximum.reduce([np.linalg.norm(v - centers, axis=1) for v in (a, b, c)])
     tree = cKDTree(centers)
-    out = np.empty(len(pts))
+    by_radius = np.argsort(radii, kind="stable")
+    buckets = [
+        (cKDTree(centers[ids]), ids, float(radii[ids[-1]]))
+        for ids in np.array_split(by_radius, min(_RADIUS_BUCKETS, len(tris)))
+    ]
+    out = np.full(len(pts), np.inf)
     k = min(8, len(tris))
-    for lo in range(0, len(pts), batch):
-        chunk = pts[lo : lo + batch]
+    for lo in range(0, len(pts), _QUERY_BLOCK):
+        chunk = pts[lo : lo + _QUERY_BLOCK]
+        best = out[lo : lo + _QUERY_BLOCK]
         _, nearest = tree.query(chunk, k=k)
-        nearest = np.atleast_2d(nearest.reshape(len(chunk), -1))
-        ub = np.full(len(chunk), np.inf)
-        for col in range(nearest.shape[1]):
-            tid = nearest[:, col]
-            d = point_triangle_distances(chunk, a[tid], b[tid], c[tid])
-            ub = np.minimum(ub, d)
-        for i, p in enumerate(chunk):
-            cand = tree.query_ball_point(p, ub[i] + rmax + 1e-12)
-            cand = np.asarray(cand)
-            d = point_triangle_distances(
-                np.broadcast_to(p, (len(cand), 3)), a[cand], b[cand], c[cand]
-            )
-            out[lo + i] = d.min()
+        nearest = nearest.reshape(-1)
+        ub = point_triangle_distances(
+            np.repeat(chunk, k, axis=0), a[nearest], b[nearest], c[nearest]
+        ).reshape(len(chunk), k).min(axis=1)
+        query, tri = [], []
+        for bucket_tree, ids, radius in buckets:
+            q, t = _ball_pairs(bucket_tree, chunk, ub + radius + 1e-12)
+            query.append(q)
+            tri.append(ids[t])
+        query = np.concatenate(query)
+        tri = np.concatenate(tri)
+        for plo in range(0, len(query), _PAIR_BLOCK):
+            q = query[plo : plo + _PAIR_BLOCK]
+            t = tri[plo : plo + _PAIR_BLOCK]
+            np.minimum.at(best, q, point_triangle_distances(chunk[q], a[t], b[t], c[t]))
     return out

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy import stats
@@ -19,6 +19,7 @@ __all__ = [
     "MetricsReport",
     "dice",
     "voxelize",
+    "surface_distances",
     "mad",
     "hausdorff",
     "node_distance",
@@ -54,24 +55,29 @@ def voxelize(surface: SurfaceMesh, grid: ImageVolume, label: int = 1) -> LabelVo
     return LabelVolume(data, grid.spacing, grid.origin)
 
 
-def _directed_mean(a: SurfaceMesh, b: SurfaceMesh) -> float:
-    return float(
-        np.mean(geometry.points_to_surface_distance(a.vertices, b.vertices, b.triangles))
-    )
+def surface_distances(a: SurfaceMesh, b: SurfaceMesh) -> tuple[float, float]:
+    """Symmetric (MAD, Hausdorff) from one pair of directed distance passes.
+
+    Distances run from each mesh's vertices to the other mesh's triangles
+    and are exact.  MAD averages the two directed means, Hausdorff takes the
+    largest distance in either direction.
+    """
+    if len(a.triangles) == 0 or len(b.triangles) == 0:
+        raise MetricsError("cannot measure distance to an empty mesh")
+    d_ab = geometry.points_to_surface_distance(a.vertices, b.vertices, b.triangles)
+    d_ba = geometry.points_to_surface_distance(b.vertices, a.vertices, a.triangles)
+    mad_mm = 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
+    return mad_mm, float(max(d_ab.max(), d_ba.max()))
 
 
 def mad(a: SurfaceMesh, b: SurfaceMesh) -> float:
     """Symmetric mean absolute surface distance (vertex-to-triangle, exact)."""
-    if len(a.triangles) == 0 or len(b.triangles) == 0:
-        raise MetricsError("cannot measure distance to an empty mesh")
-    return 0.5 * (_directed_mean(a, b) + _directed_mean(b, a))
+    return surface_distances(a, b)[0]
 
 
 def hausdorff(a: SurfaceMesh, b: SurfaceMesh) -> float:
     """Symmetric Hausdorff distance over mesh vertices vs. surfaces."""
-    d_ab = geometry.points_to_surface_distance(a.vertices, b.vertices, b.triangles)
-    d_ba = geometry.points_to_surface_distance(b.vertices, a.vertices, a.triangles)
-    return float(max(d_ab.max(), d_ba.max()))
+    return surface_distances(a, b)[1]
 
 
 def node_distance(a, b):

@@ -13,7 +13,7 @@ returned displacement fields map ED coordinates to frame-t coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

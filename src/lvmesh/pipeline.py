@@ -378,8 +378,7 @@ def run(config, output_dir: str) -> str:
             vox = metrics.voxelize(surf_t, gt_labels[t], phantom.LABEL_MYOCARDIUM)
             rec = metrics.FrameRecord(frame_id=t)
             rec.dice = metrics.dice(vox, gt_labels[t], phantom.LABEL_MYOCARDIUM)
-            rec.mad_mm = metrics.mad(surf_t, surf_gt)
-            rec.hausdorff_mm = metrics.hausdorff(surf_t, surf_gt)
+            rec.mad_mm, rec.hausdorff_mm = metrics.surface_distances(surf_t, surf_gt)
             mean_nd, max_nd, _ = metrics.node_distance(mesh_direct, mesh_warped)
             rec.node_mean_mm = mean_nd
             rec.node_max_mm = max_nd

@@ -14,13 +14,12 @@ which is the direction needed to push ED mesh vertices forward in time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .volume import (
     ImageVolume,
-    VolumeError,
     sample_trilinear,
     sample_trilinear_with_gradient,
 )

@@ -11,10 +11,10 @@ correspondence, element size is controlled, and quality is reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay, cKDTree
+from scipy.spatial import Delaunay
 
 from . import geometry
 from .isosurface import SurfaceMesh

@@ -9,7 +9,7 @@ sit at ``origin + index * spacing``.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -44,6 +44,34 @@ def point_surface_distance(p, vertices, triangles):
     )
 
 
+def ray_crossings(points, vertices, triangles):
+    """+x ray/surface crossings per point, one (point, triangle) pair at a
+    time, with the library's fixed (y, z) jitter and its open barycentric
+    test in the (y, z) projection."""
+    verts = np.asarray(vertices, dtype=np.float64)
+    scale = max(verts.max(axis=0) - verts.min(axis=0))
+    jy, jz = 0.5641895835477563e-6 * scale, 0.8213210241473353e-6 * scale
+    corners = [[verts[i].tolist() for i in tri] for tri in triangles]
+    out = []
+    for px, py, pz in np.asarray(points, dtype=np.float64).tolist():
+        py, pz = py + jy, pz + jz
+        n = 0
+        for (ax, ay, az), (bx, by, bz), (cx, cy, cz) in corners:
+            v0y, v0z = by - ay, bz - az
+            v1y, v1z = cy - ay, cz - az
+            den = v0y * v1z - v0z * v1y
+            if abs(den) < 1e-300:
+                continue
+            wy, wz = py - ay, pz - az
+            s = (wy * v1z - wz * v1y) / den
+            t = (v0y * wz - v0z * wy) / den
+            if s > 0.0 and t > 0.0 and s + t < 1.0:
+                if ax + s * (bx - ax) + t * (cx - ax) > px:
+                    n += 1
+        out.append(n)
+    return np.array(out, dtype=np.int64)
+
+
 def mad(surf_a, surf_b):
     d_ab = np.mean([point_surface_distance(p, surf_b.vertices, surf_b.triangles)
                     for p in surf_a.vertices])

@@ -12,6 +12,7 @@ from lvmesh.metrics import (
     hausdorff,
     mad,
     node_distance,
+    surface_distances,
     ttest,
     voxelize,
 )
@@ -68,6 +69,15 @@ def test_hausdorff_matches_bruteforce():
         a = _random_soup(rng)
         b = _random_soup(rng)
         assert abs(hausdorff(a, b) - _oracles.hausdorff(a, b)) < 1e-9
+
+
+@pytest.mark.parametrize("fn", [surface_distances, mad, hausdorff])
+def test_surface_distance_metrics_reject_empty_mesh(fn):
+    full = _random_soup(np.random.default_rng(8))
+    empty = SurfaceMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    for a, b in ((full, empty), (empty, full)):
+        with pytest.raises(MetricsError):
+            fn(a, b)
 
 
 def test_mad_zero_on_identical_surfaces():
