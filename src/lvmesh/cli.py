@@ -50,13 +50,14 @@ def cmd_phantom(args):
         contraction=args.contraction,
         shortening=args.shortening,
         noise_sigma=args.noise_sigma,
+        misalign_amplitude_mm=args.misalign_mm,
         seed=args.seed,
     )
     frames, labels, fields = phantom.generate(spec)
     shifts = np.zeros((spec.n_frames, spec.dims[2], 2), dtype=np.int64)
-    if args.misalign_mm > 0:
+    if spec.misalign_amplitude_mm > 0:
         frames, labels, shifts = phantom.inject_misalignment(
-            frames, labels, args.misalign_mm, spec.seed
+            frames, labels, spec.misalign_amplitude_mm, spec.seed
         )
     os.makedirs(args.out, exist_ok=True)
     field_files = []
@@ -71,7 +72,7 @@ def cmd_phantom(args):
             "dims": list(spec.dims), "spacing": list(spec.spacing),
             "n_frames": spec.n_frames, "contraction": spec.contraction,
             "shortening": spec.shortening, "noise_sigma": spec.noise_sigma,
-            "misalign_mm": args.misalign_mm, "seed": spec.seed,
+            "misalign_mm": spec.misalign_amplitude_mm, "seed": spec.seed,
         },
         "shifts_vox": shifts.tolist(),
         "field_files": field_files,
@@ -256,17 +257,18 @@ def build_parser():
 
     s = sub.add_parser("phantom", help="generate the synthetic beating-LV dataset")
     s.add_argument("--out", required=True)
-    s.add_argument("--dims", type=int, nargs=3, default=[64, 64, 64])
-    s.add_argument("--spacing", type=float, nargs=3, default=[1.0, 1.0, 1.0])
-    s.add_argument("--endo-axes", type=float, nargs=3, default=[14.0, 14.0, 22.0])
-    s.add_argument("--epi-axes", type=float, nargs=3, default=[22.0, 22.0, 30.0])
-    s.add_argument("--basal-cut-mm", type=float, default=18.0)
-    s.add_argument("--n-frames", type=int, default=6)
-    s.add_argument("--contraction", type=float, default=0.22)
-    s.add_argument("--shortening", type=float, default=0.10)
-    s.add_argument("--noise-sigma", type=float, default=2.0)
-    s.add_argument("--misalign-mm", type=float, default=0.0)
-    s.add_argument("--seed", type=int, default=0)
+    spec = phantom.PhantomSpec
+    s.add_argument("--dims", type=int, nargs=3, default=list(spec.dims))
+    s.add_argument("--spacing", type=float, nargs=3, default=list(spec.spacing))
+    s.add_argument("--endo-axes", type=float, nargs=3, default=list(spec.endo_axes))
+    s.add_argument("--epi-axes", type=float, nargs=3, default=list(spec.epi_axes))
+    s.add_argument("--basal-cut-mm", type=float, default=spec.basal_cut_mm)
+    s.add_argument("--n-frames", type=int, default=spec.n_frames)
+    s.add_argument("--contraction", type=float, default=spec.contraction)
+    s.add_argument("--shortening", type=float, default=spec.shortening)
+    s.add_argument("--noise-sigma", type=float, default=spec.noise_sigma)
+    s.add_argument("--misalign-mm", type=float, default=spec.misalign_amplitude_mm)
+    s.add_argument("--seed", type=int, default=spec.seed)
     s.set_defaults(func=cmd_phantom)
 
     s = sub.add_parser("align", help="correct in-plane slice misalignment")
@@ -278,9 +280,9 @@ def build_parser():
     s = sub.add_parser("register", help="estimate displacement fields")
     s.add_argument("--input", required=True, help="directory with frame_*.mhd")
     s.add_argument("--out", required=True)
-    s.add_argument("--backend", choices=["dense", "ffd"], default="dense")
-    s.add_argument("--lam", type=float, default=1e-3)
-    s.add_argument("--iterations", type=int, default=100)
+    s.add_argument("--backend", choices=["dense", "ffd"], default=RegistrationConfig.backend)
+    s.add_argument("--lam", type=float, default=RegistrationConfig.lam)
+    s.add_argument("--iterations", type=int, default=RegistrationConfig.iterations)
     s.add_argument("--pairing", choices=["fixed_reference", "sequential"],
                    default="fixed_reference")
     s.add_argument("--seed", type=int, default=0)

@@ -39,6 +39,8 @@ class PhantomError(Exception):
 
 @dataclass
 class PhantomSpec:
+    """Phantom geometry, motion and noise; the one place their ranges are checked."""
+
     dims: tuple[int, int, int] = (64, 64, 64)  # (nx, ny, nz)
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     endo_axes: tuple[float, float, float] = (14.0, 14.0, 22.0)  # mm semi-axes
@@ -52,14 +54,24 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(d >= 8 for d in self.dims):
+            raise PhantomError(f"dims must all be >= 8, got {tuple(self.dims)}")
+        if not all(s > 0 for s in self.spacing):
+            raise PhantomError(f"spacing must be positive, got {tuple(self.spacing)}")
         if not all(e > n for e, n in zip(self.epi_axes, self.endo_axes)):
-            raise PhantomError("epicardial semi-axes must exceed endocardial ones")
+            raise PhantomError("epi_axes must exceed endo_axes on every axis")
+        if not self.basal_cut_mm > 0:
+            raise PhantomError("basal_cut_mm must be positive")
+        if self.n_frames < 2:
+            raise PhantomError("n_frames must be at least 2")
         if not (0.0 < self.contraction < 1.0):
             raise PhantomError("contraction must lie in (0, 1)")
         if not (0.0 <= self.shortening < 1.0):
             raise PhantomError("shortening must lie in [0, 1)")
-        if self.n_frames < 2:
-            raise PhantomError("need at least 2 frames")
+        if not self.noise_sigma >= 0:
+            raise PhantomError("noise_sigma must be non-negative")
+        if not self.misalign_amplitude_mm >= 0:
+            raise PhantomError("misalign_amplitude_mm must be non-negative")
 
     @property
     def center(self) -> np.ndarray:

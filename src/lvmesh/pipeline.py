@@ -13,14 +13,16 @@ import hashlib
 import json
 import logging
 import os
+import re
 import zlib
+from contextlib import contextmanager
 
 import numpy as np
 import yaml
 
 from . import align, isosurface, lbwarp, metrics, phantom, register, tetmesh, vtkio
 from .register import DisplacementField, RegistrationConfig
-from .volume import ImageVolume, resample_z, write_mhd
+from .volume import ImageVolume, VolumeError, resample_z, write_mhd
 
 __all__ = ["PipelineError", "load_config", "validate_config", "run", "report"]
 
@@ -72,17 +74,43 @@ def _require(cond: bool, message: str):
         raise PipelineError(f"config error: {message}")
 
 
-def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _typed(name: str, value, default):
+    """``value`` in the type of its ``DEFAULT_CONFIG`` entry; raises naming the key.
+
+    An int takes no float or bool, a float takes any number but a bool, and a
+    numeric list is a list or tuple of the default's length and element type.
+    """
+    if isinstance(default, list):
+        _require(isinstance(value, (list, tuple)) and len(value) == len(default),
+                 f"{name} must be a list of {len(default)} numbers, got {value!r}")
+        return tuple(_typed(name, v, default[0]) for v in value)
+    allowed = {str: str, int: int, float: (int, float)}[type(default)]
+    _require(isinstance(value, allowed) and not isinstance(value, bool),
+             f"{name} must be of type {type(default).__name__}, got {value!r}")
+    return type(default)(value)
+
+
+def _stage_configs(cfg: dict) -> tuple[phantom.PhantomSpec, RegistrationConfig]:
+    """The phantom spec and registration config a validated ``cfg`` describes."""
+    reg = {k: v for k, v in cfg["register"].items() if k != "pairings"}
+    return (
+        phantom.PhantomSpec(**cfg["phantom"], seed=_stage_seed(cfg["seed"], "phantom")),
+        RegistrationConfig(**reg, seed=_stage_seed(cfg["seed"], "register")),
+    )
 
 
 def validate_config(cfg: dict) -> dict:
-    """Merge over defaults and check every field; raises with the offending key."""
+    """Merge over defaults and check every field; raises with the offending key.
+
+    Types come from ``DEFAULT_CONFIG``; the ranges of the ``phantom`` and
+    ``register`` keys are checked by ``PhantomSpec`` and ``RegistrationConfig``.
+    """
     _require(isinstance(cfg, dict), "top level must be a mapping")
     known = set(DEFAULT_CONFIG)
     for key in cfg:
         _require(key in known, f"unknown section {key!r} (expected one of {sorted(known)})")
-    out = {}
+    out = {"seed": _typed("seed", cfg.get("seed", DEFAULT_CONFIG["seed"]),
+                          DEFAULT_CONFIG["seed"])}
     for section, defaults in DEFAULT_CONFIG.items():
         if section == "seed":
             continue
@@ -92,63 +120,46 @@ def validate_config(cfg: dict) -> dict:
             _require(key in defaults,
                      f"unknown key {section}.{key} (expected one of {sorted(defaults)})")
         out[section] = {**defaults, **given}
-    out["seed"] = cfg.get("seed", DEFAULT_CONFIG["seed"])
-    _require(isinstance(out["seed"], int), "seed must be an integer")
+        for key, default in defaults.items():
+            if key != "pairings":
+                out[section][key] = _typed(f"{section}.{key}", out[section][key], default)
 
-    ph = out["phantom"]
-    for key in ("dims", "spacing", "endo_axes", "epi_axes"):
-        v = ph[key]
-        _require(isinstance(v, (list, tuple)) and len(v) == 3 and all(_is_num(x) for x in v),
-                 f"phantom.{key} must be a list of 3 numbers")
-        ph[key] = tuple(v)
-    _require(all(int(d) >= 8 for d in ph["dims"]), "phantom.dims must all be >= 8")
-    _require(all(s > 0 for s in ph["spacing"]), "phantom.spacing must be positive")
-    _require(isinstance(ph["n_frames"], int) and ph["n_frames"] >= 2,
-             "phantom.n_frames must be an integer >= 2")
-    _require(_is_num(ph["contraction"]) and 0 <= ph["contraction"] < 1,
-             "phantom.contraction must lie in [0, 1)")
-    _require(_is_num(ph["shortening"]) and 0 <= ph["shortening"] < 1,
-             "phantom.shortening must lie in [0, 1)")
-    _require(_is_num(ph["noise_sigma"]) and ph["noise_sigma"] >= 0,
-             "phantom.noise_sigma must be non-negative")
-    _require(_is_num(ph["misalign_amplitude_mm"]) and ph["misalign_amplitude_mm"] >= 0,
-             "phantom.misalign_amplitude_mm must be non-negative")
-    _require(_is_num(ph["basal_cut_mm"]) and ph["basal_cut_mm"] > 0,
-             "phantom.basal_cut_mm must be positive")
-
-    rg = out["register"]
-    _require(rg["backend"] in ("dense", "ffd"),
-             f"register.backend must be 'dense' or 'ffd', got {rg['backend']!r}")
-    _require(_is_num(rg["lam"]) and rg["lam"] >= 0,
-             f"register.lam must be a non-negative number, got {rg['lam']!r}")
-    for key in ("iterations", "pyramid_levels", "ffd_iterations", "ffd_samples"):
-        _require(isinstance(rg[key], int) and rg[key] >= 1,
-                 f"register.{key} must be a positive integer")
-    for key in ("step_size", "ffd_control_spacing_vox"):
-        _require(_is_num(rg[key]) and rg[key] > 0, f"register.{key} must be positive")
-    for key in ("smooth_sigma_vox", "ffd_bending_weight"):
-        _require(_is_num(rg[key]) and rg[key] >= 0, f"register.{key} must be non-negative")
-    _require(isinstance(rg["pairings"], list) and rg["pairings"]
-             and all(p in ("fixed_reference", "sequential") for p in rg["pairings"]),
+    pairings = out["register"]["pairings"]
+    _require(isinstance(pairings, list) and pairings
+             and all(p in ("fixed_reference", "sequential") for p in pairings),
              "register.pairings must be a non-empty list drawn from "
              "['fixed_reference', 'sequential']")
-
+    out["register"]["pairings"] = list(pairings)
     ms = out["mesh"]
-    _require(_is_num(ms["resample_mm"]) and ms["resample_mm"] > 0,
-             "mesh.resample_mm must be positive")
+    _require(ms["resample_mm"] > 0, "mesh.resample_mm must be positive")
     _require(ms["iso_policy"] in ("binary", "smooth"),
              f"mesh.iso_policy must be 'binary' or 'smooth', got {ms['iso_policy']!r}")
-    _require(isinstance(ms["target_vertices"], int) and ms["target_vertices"] >= 4,
-             "mesh.target_vertices must be an integer >= 4")
-    _require(_is_num(ms["max_tet_volume_mm3"]) and ms["max_tet_volume_mm3"] > 0,
-             "mesh.max_tet_volume_mm3 must be positive")
+    _require(ms["target_vertices"] >= 4, "mesh.target_vertices must be >= 4")
+    _require(ms["max_tet_volume_mm3"] > 0, "mesh.max_tet_volume_mm3 must be positive")
+    try:
+        _stage_configs(out)
+    except phantom.PhantomError as exc:
+        raise PipelineError(f"config error: phantom: {exc}") from exc
+    except register.RegistrationError as exc:
+        raise PipelineError(f"config error: register: {exc}") from exc
     return out
+
+
+class _ConfigLoader(yaml.SafeLoader):
+    """Safe YAML loader that also reads YAML 1.2 exponent floats such as ``1e-3``."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
 
 
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_ConfigLoader)
     except OSError as exc:
         raise PipelineError(f"cannot read config {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -202,6 +213,24 @@ def _field_volume(field: DisplacementField) -> ImageVolume:
     return ImageVolume(field.u.astype(np.float32), field.spacing, field.origin)
 
 
+_STAGE_ERRORS = (
+    phantom.PhantomError, align.AlignError, register.RegistrationError, VolumeError,
+    isosurface.IsosurfaceError, tetmesh.TetMeshError, lbwarp.LbwarpError,
+    metrics.MetricsError, vtkio.VtkIoError,
+)
+
+
+@contextmanager
+def _stage(stages_done: list, name: str):
+    """Log and record stage ``name``; re-raise an lvmesh error as ``PipelineError``."""
+    log.info("pipeline stage: %s", name)
+    stages_done.append(name)
+    try:
+        yield
+    except _STAGE_ERRORS as exc:
+        raise PipelineError(f"stage {name}: {exc}") from exc
+
+
 def run(config, output_dir: str) -> str:
     """Execute the full workflow; returns the manifest path.
 
@@ -214,31 +243,12 @@ def run(config, output_dir: str) -> str:
     os.makedirs(output_dir, exist_ok=True)
     tree = _Tree(output_dir)
     stages_done = []
-
-    def stage(name):
-        log.info("pipeline stage: %s", name)
-        stages_done.append(name)
-
-    ph = cfg["phantom"]
-    rg = cfg["register"]
+    spec, reg_config = _stage_configs(cfg)
     ms = cfg["mesh"]
-    n_frames = ph["n_frames"]
+    n_frames = spec.n_frames
 
     # --- phantom -----------------------------------------------------------
-    stage("phantom")
-    try:
-        spec = phantom.PhantomSpec(
-            dims=tuple(int(d) for d in ph["dims"]),
-            spacing=tuple(float(s) for s in ph["spacing"]),
-            endo_axes=tuple(float(a) for a in ph["endo_axes"]),
-            epi_axes=tuple(float(a) for a in ph["epi_axes"]),
-            basal_cut_mm=float(ph["basal_cut_mm"]),
-            n_frames=n_frames,
-            contraction=float(ph["contraction"]),
-            shortening=float(ph["shortening"]),
-            noise_sigma=float(ph["noise_sigma"]),
-            seed=_stage_seed(cfg["seed"], "phantom"),
-        )
+    with _stage(stages_done, "phantom"):
         frames, gt_labels, gt_fields = phantom.generate(spec)
         for t in range(n_frames):
             tree.add_mhd(f"phantom/frame_{t:02d}.mhd", frames[t])
@@ -247,61 +257,37 @@ def run(config, output_dir: str) -> str:
                 f"phantom/gt_field_{t:02d}.mhd",
                 ImageVolume(gt_fields[t], spec.spacing),
             )
-    except phantom.PhantomError as exc:
-        raise PipelineError(f"stage phantom: {exc}") from exc
 
     # --- misalignment + alignment -----------------------------------------
     work_frames, work_labels = frames, gt_labels
-    if ph["misalign_amplitude_mm"] > 0:
-        stage("misalign")
-        try:
+    if spec.misalign_amplitude_mm > 0:
+        with _stage(stages_done, "misalign"):
             bad_frames, bad_labels, applied = phantom.inject_misalignment(
-                frames, gt_labels, float(ph["misalign_amplitude_mm"]),
+                frames, gt_labels, spec.misalign_amplitude_mm,
                 _stage_seed(cfg["seed"], "misalign"),
             )
-        except phantom.PhantomError as exc:
-            raise PipelineError(f"stage misalign: {exc}") from exc
-        rows = [(t, k, int(applied[t, k, 0]), int(applied[t, k, 1]))
-                for t in range(n_frames) for k in range(applied.shape[1])]
-        _write_csv_rows(tree.path("align/applied_shifts.csv"),
-                        ["frame", "slice", "dx_vox", "dy_vox"], rows)
+            rows = [(t, k, int(applied[t, k, 0]), int(applied[t, k, 1]))
+                    for t in range(n_frames) for k in range(applied.shape[1])]
+            _write_csv_rows(tree.path("align/applied_shifts.csv"),
+                            ["frame", "slice", "dx_vox", "dy_vox"], rows)
 
-        stage("align")
-        try:
+        with _stage(stages_done, "align"):
             work_frames, work_labels, shifts = align.correct(bad_frames, bad_labels)
-        except align.AlignError as exc:
-            raise PipelineError(f"stage align: {exc}") from exc
-        rows = [(t, k, int(shifts[t, k, 0]), int(shifts[t, k, 1]))
-                for t in range(n_frames) for k in range(shifts.shape[1])]
-        _write_csv_rows(tree.path("align/corrected_shifts.csv"),
-                        ["frame", "slice", "dx_vox", "dy_vox"], rows)
-        for t in range(n_frames):
-            tree.add_mhd(f"align/frame_{t:02d}.mhd", work_frames[t])
+            rows = [(t, k, int(shifts[t, k, 0]), int(shifts[t, k, 1]))
+                    for t in range(n_frames) for k in range(shifts.shape[1])]
+            _write_csv_rows(tree.path("align/corrected_shifts.csv"),
+                            ["frame", "slice", "dx_vox", "dy_vox"], rows)
+            for t in range(n_frames):
+                tree.add_mhd(f"align/frame_{t:02d}.mhd", work_frames[t])
 
     # --- registration ------------------------------------------------------
-    reg_config = RegistrationConfig(
-        backend=rg["backend"],
-        lam=float(rg["lam"]),
-        iterations=rg["iterations"],
-        pyramid_levels=rg["pyramid_levels"],
-        step_size=float(rg["step_size"]),
-        smooth_sigma_vox=float(rg["smooth_sigma_vox"]),
-        ffd_iterations=rg["ffd_iterations"],
-        ffd_samples=rg["ffd_samples"],
-        ffd_control_spacing_vox=float(rg["ffd_control_spacing_vox"]),
-        ffd_bending_weight=float(rg["ffd_bending_weight"]),
-        seed=_stage_seed(cfg["seed"], "register"),
-    )
     fields_by_pairing = {}
-    for pairing in rg["pairings"]:
-        stage(f"register[{pairing}]")
-        try:
+    for pairing in cfg["register"]["pairings"]:
+        with _stage(stages_done, f"register[{pairing}]"):
             fields = register.register_sequence(work_frames, reg_config, pairing)
-        except register.RegistrationError as exc:
-            raise PipelineError(f"stage register[{pairing}]: {exc}") from exc
-        fields_by_pairing[pairing] = fields
-        for t, f in enumerate(fields, start=1):
-            tree.add_mhd(f"register/field_{pairing}_{t:02d}.mhd", _field_volume(f))
+            fields_by_pairing[pairing] = fields
+            for t, f in enumerate(fields, start=1):
+                tree.add_mhd(f"register/field_{pairing}_{t:02d}.mhd", _field_volume(f))
 
     if "fixed_reference" in fields_by_pairing:
         fields = fields_by_pairing["fixed_reference"]
@@ -313,21 +299,17 @@ def run(config, output_dir: str) -> str:
             fields.append(register.compose_fields(fields[-1], f))
 
     # --- ED meshes ---------------------------------------------------------
-    stage("isosurface")
-    try:
-        ed_iso = resample_z(work_labels[0], float(ms["resample_mm"]))
+    with _stage(stages_done, "isosurface"):
+        ed_iso = resample_z(work_labels[0], ms["resample_mm"])
         surf_full = isosurface.marching_cubes(
             ed_iso, phantom.LABEL_MYOCARDIUM, iso_policy=ms["iso_policy"]
         )
         vtkio.write_polydata(surf_full, tree.path("mesh/ed_surface_full.vtk"))
         surf_ed = isosurface.decimate(surf_full, ms["target_vertices"])
         vtkio.write_polydata(surf_ed, tree.path("mesh/ed_surface.vtk"))
-    except isosurface.IsosurfaceError as exc:
-        raise PipelineError(f"stage isosurface: {exc}") from exc
 
-    stage("tetmesh")
-    try:
-        mesh_ed = tetmesh.tetrahedralize(surf_ed, float(ms["max_tet_volume_mm3"]))
+    with _stage(stages_done, "tetmesh"):
+        mesh_ed = tetmesh.tetrahedralize(surf_ed, ms["max_tet_volume_mm3"])
         mesh_ed.quality = tetmesh.assess(mesh_ed)
         if not mesh_ed.quality.valid:
             raise PipelineError(
@@ -335,21 +317,14 @@ def run(config, output_dir: str) -> str:
                 "non-positive elements"
             )
         vtkio.write_unstructured_grid(mesh_ed, tree.path("mesh/ed_tetmesh.vtk"))
-    except tetmesh.TetMeshError as exc:
-        raise PipelineError(f"stage tetmesh: {exc}") from exc
+        weights = lbwarp.compute_weights(mesh_ed)
 
     # --- per-frame propagation + warping + metrics -------------------------
-    try:
-        weights = lbwarp.compute_weights(mesh_ed)
-    except lbwarp.LbwarpError as exc:
-        raise PipelineError(f"stage lbwarp: {exc}") from exc
-
     records = []
     quality_rows = []
     for t in range(1, n_frames):
-        stage(f"propagate[{t}]")
         field_t = fields[t - 1]
-        try:
+        with _stage(stages_done, f"propagate[{t}]"):
             surf_t = isosurface.propagate_surface(surf_ed, field_t, frame_id=t)
             vtkio.write_polydata(surf_t, tree.path(f"frames/surface_{t:02d}.vtk"))
             mesh_direct = tetmesh.propagate_volume(mesh_ed, field_t, frame_id=t)
@@ -360,18 +335,14 @@ def run(config, output_dir: str) -> str:
             vtkio.write_unstructured_grid(
                 mesh_warped, tree.path(f"frames/tet_lbwarp_{t:02d}.vtk")
             )
-        except (isosurface.IsosurfaceError, tetmesh.TetMeshError,
-                lbwarp.LbwarpError) as exc:
-            raise PipelineError(f"stage propagate frame {t}: {exc}") from exc
-        if info.residual > 1e-8:
-            raise PipelineError(
-                f"stage propagate frame {t}: interior solve residual "
-                f"{info.residual:.3e} exceeds tolerance"
-            )
+            if info.residual > 1e-8:
+                raise PipelineError(
+                    f"stage propagate[{t}]: interior solve residual "
+                    f"{info.residual:.3e} exceeds tolerance"
+                )
 
-        stage(f"metrics[{t}]")
-        try:
-            gt_iso = resample_z(gt_labels[t], float(ms["resample_mm"]))
+        with _stage(stages_done, f"metrics[{t}]"):
+            gt_iso = resample_z(gt_labels[t], ms["resample_mm"])
             surf_gt = isosurface.marching_cubes(
                 gt_iso, phantom.LABEL_MYOCARDIUM, iso_policy=ms["iso_policy"]
             )
@@ -384,8 +355,6 @@ def run(config, output_dir: str) -> str:
             rec.node_max_mm = max_nd
             rec.min_scaled_jacobian = mesh_warped.quality.min_scaled_jacobian
             records.append(rec)
-        except metrics.MetricsError as exc:
-            raise PipelineError(f"stage metrics frame {t}: {exc}") from exc
         for kind, m in (("direct", mesh_direct), ("lbwarp", mesh_warped)):
             q = m.quality
             quality_rows.append(
@@ -394,16 +363,16 @@ def run(config, output_dir: str) -> str:
                  float(q.max_volume))
             )
 
-    stage("report")
-    rep = metrics.MetricsReport(records)
-    rep.write_csv(tree.path("reports/metrics.csv"))
-    rep.write_json(tree.path("reports/metrics.json"))
-    _write_csv_rows(
-        tree.path("reports/quality.csv"),
-        ["frame", "mesh", "min_scaled_jacobian", "mean_scaled_jacobian",
-         "fraction_acceptable", "n_nonpositive", "max_volume_mm3"],
-        quality_rows,
-    )
+    with _stage(stages_done, "report"):
+        rep = metrics.MetricsReport(records)
+        rep.write_csv(tree.path("reports/metrics.csv"))
+        rep.write_json(tree.path("reports/metrics.json"))
+        _write_csv_rows(
+            tree.path("reports/quality.csv"),
+            ["frame", "mesh", "min_scaled_jacobian", "mean_scaled_jacobian",
+             "fraction_acceptable", "n_nonpositive", "max_volume_mm3"],
+            quality_rows,
+        )
 
     manifest = {
         "config": cfg,

@@ -73,6 +73,8 @@ class DisplacementField:
 
 @dataclass
 class RegistrationConfig:
+    """Settings of both backends; the one place their ranges are checked."""
+
     backend: str = "dense"  # dense | ffd
     lam: float = 1e-3  # smoothness weight in the dense loss
     iterations: int = 100  # dense: sweeps per pyramid level; ffd: total (500)
@@ -89,12 +91,17 @@ class RegistrationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise RegistrationError("smoothness weight must be non-negative")
-        if self.iterations < 1 or self.ffd_iterations < 1:
-            raise RegistrationError("iteration counts must be at least 1")
         if self.backend not in ("dense", "ffd"):
-            raise RegistrationError(f"unknown backend {self.backend!r}")
+            raise RegistrationError(f"backend must be 'dense' or 'ffd', got {self.backend!r}")
+        for name in ("iterations", "pyramid_levels", "ffd_iterations", "ffd_samples"):
+            if getattr(self, name) < 1:
+                raise RegistrationError(f"{name} must be at least 1")
+        for name in ("step_size", "ffd_control_spacing_vox"):
+            if not getattr(self, name) > 0:
+                raise RegistrationError(f"{name} must be positive")
+        for name in ("lam", "smooth_sigma_vox", "ffd_bending_weight"):
+            if not getattr(self, name) >= 0:
+                raise RegistrationError(f"{name} must be non-negative")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from lvmesh.cli import main
+from lvmesh.cli import build_parser, main
+from lvmesh.phantom import PhantomSpec
 from lvmesh.volume import read_mhd
 from lvmesh.vtkio import read_polydata, read_unstructured_grid
 
@@ -35,6 +37,14 @@ def test_phantom_outputs(dataset):
     assert manifest["spec"]["n_frames"] == 3
     vol = read_mhd(os.path.join(dataset, "frame_00.mhd"))
     assert vol.data.shape == (32, 32, 32)
+
+
+def test_phantom_defaults_are_phantom_spec_defaults():
+    args = vars(build_parser().parse_args(["phantom", "--out", "x"]))
+    args["misalign_amplitude_mm"] = args.pop("misalign_mm")
+    for f in dataclasses.fields(PhantomSpec):
+        given = args[f.name]
+        assert (tuple(given) if isinstance(given, list) else given) == f.default, f.name
 
 
 def test_isosurface_decimate_tetmesh_quality(dataset, tmp_path, capsys):

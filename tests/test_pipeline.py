@@ -1,11 +1,15 @@
 import json
+import math
 import os
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lvmesh import pipeline
-from lvmesh.pipeline import PipelineError, load_config, run, report, validate_config
+from lvmesh.pipeline import (DEFAULT_CONFIG, PipelineError, load_config, run, report,
+                             validate_config)
 
 FAST_CONFIG = {
     "seed": 11,
@@ -51,6 +55,64 @@ def test_validate_rejects_bad_types():
         validate_config({"register": {"pairings": ["bogus"]}})
     with pytest.raises(PipelineError):
         validate_config({"mesh": {"iso_policy": "fancy"}})
+    with pytest.raises(PipelineError, match="seed"):
+        validate_config({"seed": True})
+    with pytest.raises(PipelineError, match="ffd_iterations"):
+        validate_config({"register": {"ffd_iterations": True}})
+    with pytest.raises(PipelineError, match="dims"):
+        validate_config({"phantom": {"dims": [40.7, 40, 40]}})
+    with pytest.raises(PipelineError, match="contraction"):
+        validate_config({"phantom": {"contraction": 0.0}})
+    with pytest.raises(PipelineError, match="epi_axes"):
+        validate_config({"phantom": {"endo_axes": [20, 20, 20], "epi_axes": [10, 10, 10]}})
+
+
+_CHOICES = {
+    "backend": st.sampled_from(["dense", "ffd"]),
+    "pairings": st.lists(st.sampled_from(["fixed_reference", "sequential"]),
+                         min_size=1, max_size=2, unique=True),
+    "iso_policy": st.sampled_from(["binary", "smooth"]),
+}
+
+
+def _near(default):
+    """Values within 10 % of a numeric default, which every range check accepts;
+    float keys also get ints and list keys also get tuples."""
+    if isinstance(default, list):
+        items = st.tuples(*(_near(d) for d in default))
+        return items | items.map(list)
+    lo, hi = 0.9 * default, 1.1 * default
+    ints = (st.integers(math.ceil(lo), math.floor(hi))
+            if math.ceil(lo) <= math.floor(hi) else st.nothing())
+    return ints if isinstance(default, int) else st.floats(lo, hi) | ints
+
+
+_OVERRIDES = st.fixed_dictionaries({}, optional={
+    "seed": st.integers(0, 2**31 - 1),
+    **{section: st.fixed_dictionaries({}, optional={
+        key: _CHOICES[key] if key in _CHOICES else _near(default)
+        for key, default in defaults.items()})
+       for section, defaults in DEFAULT_CONFIG.items() if section != "seed"},
+})
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_OVERRIDES)
+def test_validate_is_idempotent_and_keeps_default_types(overrides):
+    cfg = validate_config(overrides)
+    # run() validates again a dict that was validated already
+    assert validate_config(cfg) == cfg
+    assert type(cfg["seed"]) is int
+    for section, defaults in DEFAULT_CONFIG.items():
+        if section == "seed":
+            continue
+        assert set(cfg[section]) == set(defaults)
+        for key, default in defaults.items():
+            value = cfg[section][key]
+            if isinstance(default, list):
+                assert all(type(v) is type(default[0]) for v in value), (section, key)
+            else:
+                assert type(value) is type(default), (section, key)
 
 
 def test_validate_fills_defaults():
@@ -65,6 +127,9 @@ def test_load_config_yaml(tmp_path):
     path.write_text(yaml.safe_dump(FAST_CONFIG))
     cfg = load_config(str(path))
     assert cfg["phantom"]["n_frames"] == 3
+    exponent = tmp_path / "exponent.yaml"
+    exponent.write_text("register:\n  lam: 1e-3\n")
+    assert load_config(str(exponent))["register"]["lam"] == 0.001
     bad = tmp_path / "bad.yaml"
     bad.write_text("register:\n  lam: -1\n")
     with pytest.raises(PipelineError, match="lam"):
@@ -148,4 +213,15 @@ def test_stage_failure_carries_stage_name(tmp_path):
         }
     }
     with pytest.raises(PipelineError, match="stage phantom"):
+        run(cfg, str(tmp_path / "x"))
+
+
+def test_volume_error_is_reported_as_stage_failure(tmp_path):
+    cfg = {
+        "phantom": {"dims": [16, 16, 16], "endo_axes": [4.0, 4.0, 5.0],
+                    "epi_axes": [6.0, 6.0, 7.0], "basal_cut_mm": 4.0, "n_frames": 2},
+        "register": {"iterations": 1, "pyramid_levels": 1},
+        "mesh": {"resample_mm": 50},
+    }
+    with pytest.raises(PipelineError, match="stage isosurface: resampling to 50.0 mm"):
         run(cfg, str(tmp_path / "x"))
