@@ -206,12 +206,13 @@ def cmd_quality(args):
     print(f"max volume (mm^3):   {q.max_volume:.4f}")
     print(f"valid:               {q.valid}")
     if args.csv:
+        radius_edge = tetmesh.radius_edge_many(mesh.vertices[mesh.tets])
         with open(args.csv, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["element", "scaled_jacobian", "radius_edge", "volume_mm3"])
             for i in range(len(mesh.tets)):
                 w.writerow([i, f"{q.scaled_jacobian[i]:.9g}",
-                            f"{q.radius_edge[i]:.9g}", f"{q.volumes[i]:.9g}"])
+                            f"{radius_edge[i]:.9g}", f"{q.volumes[i]:.9g}"])
 
 
 def cmd_metrics(args):

@@ -13,6 +13,7 @@ import heapq
 import itertools
 import logging
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -216,76 +217,135 @@ def marching_cubes(labels: LabelVolume, target_label: int, iso_policy: str = "bi
 
 # ---------------------------------------------------------------------------
 # quadric-error-metric decimation
+#
+# A quadric is the upper triangle of the symmetric 4x4 matrix Q, held as the
+# 10 terms (q00 q01 q02 q03 q11 q12 q13 q22 q23 q33).  The helpers below
+# unpack it, so they evaluate the same expressions on Python floats (the
+# collapse loop) and on arrays of terms (the initial edge pass).
+
+_QUADRIC_TERMS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 
 
 def _vertex_quadrics(verts, tris):
+    """(N, 10) sum of the plane quadrics p p^T of each vertex's triangles."""
     n = geometry.triangle_normals(verts, tris)
     norm = np.linalg.norm(n, axis=1)
     keep = norm > 1e-300
     n = n[keep] / norm[keep][:, None]
     d = -np.einsum("ij,ij->i", n, verts[tris[keep, 0]])
     p = np.concatenate([n, d[:, None]], axis=1)  # (M, 4)
-    K = p[:, :, None] * p[:, None, :]  # (M, 4, 4)
-    Q = np.zeros((len(verts), 4, 4))
+    K = np.stack([p[:, i] * p[:, j] for i, j in _QUADRIC_TERMS], axis=1)  # (M, 10)
+    Q = np.zeros((len(verts), 10))
     for i in range(3):
         np.add.at(Q, tris[keep, i], K)
     return Q
 
 
-def _quadric_cost(Q, x):
+def _quadric_cost(q, x):
     # homogeneous form [x 1] Q [x 1]^T, unrolled for speed
-    q = Q
+    q00, q01, q02, q03, q11, q12, q13, q22, q23, q33 = q
     x0, x1, x2 = x
     return (
-        q[0][0] * x0 * x0 + q[1][1] * x1 * x1 + q[2][2] * x2 * x2
-        + 2.0 * (q[0][1] * x0 * x1 + q[0][2] * x0 * x2 + q[1][2] * x1 * x2)
-        + 2.0 * (q[0][3] * x0 + q[1][3] * x1 + q[2][3] * x2)
-        + q[3][3]
+        q00 * x0 * x0 + q11 * x1 * x1 + q22 * x2 * x2
+        + 2.0 * (q01 * x0 * x1 + q02 * x0 * x2 + q12 * x1 * x2)
+        + 2.0 * (q03 * x0 + q13 * x1 + q23 * x2)
+        + q33
     )
 
 
-def _optimal_position(Q, va, vb):
-    # minimize the quadric: solve the 3x3 normal system by Cramer's rule
-    q = Q
-    a00, a01, a02 = q[0][0], q[0][1], q[0][2]
-    a11, a12, a22 = q[1][1], q[1][2], q[2][2]
-    b0, b1, b2 = -q[0][3], -q[1][3], -q[2][3]
-    det = (
+def _normal_det(q):
+    """Determinant of the 3x3 normal system of the quadric minimizer."""
+    a00, a01, a02, _, a11, a12, _, a22, _, _ = q
+    return (
         a00 * (a11 * a22 - a12 * a12)
         - a01 * (a01 * a22 - a12 * a02)
         + a02 * (a01 * a12 - a11 * a02)
     )
-    scale = max(abs(a00), abs(a11), abs(a22), 1e-300)
+
+
+def _minimizer(q, det):
+    """Solve the normal system by Cramer's rule, given its determinant."""
+    a00, a01, a02, q03, a11, a12, q13, a22, q23, _ = q
+    b0, b1, b2 = -q03, -q13, -q23
+    x0 = (
+        b0 * (a11 * a22 - a12 * a12)
+        - a01 * (b1 * a22 - a12 * b2)
+        + a02 * (b1 * a12 - a11 * b2)
+    ) / det
+    x1 = (
+        a00 * (b1 * a22 - a12 * b2)
+        - b0 * (a01 * a22 - a02 * a12)
+        + a02 * (a01 * b2 - b1 * a02)
+    ) / det
+    x2 = (
+        a00 * (a11 * b2 - b1 * a12)
+        - a01 * (a01 * b2 - b1 * a02)
+        + b0 * (a01 * a12 - a11 * a02)
+    ) / det
+    return x0, x1, x2
+
+
+def _within_edge_ball(x, va, vb):
+    """False for wild solutions of near-singular quadrics: x must lie in
+    the ball whose diameter is the edge."""
+    x0, x1, x2 = x
+    dx0, dx1, dx2 = x0 - va[0], x1 - va[1], x2 - va[2]
+    ex0, ex1, ex2 = x0 - vb[0], x1 - vb[1], x2 - vb[2]
+    e0, e1, e2 = vb[0] - va[0], vb[1] - va[1], vb[2] - va[2]
+    return dx0 * ex0 + dx1 * ex1 + dx2 * ex2 <= e0 * e0 + e1 * e1 + e2 * e2
+
+
+def _midpoint(va, vb):
+    return (0.5 * (va[0] + vb[0]), 0.5 * (va[1] + vb[1]), 0.5 * (va[2] + vb[2]))
+
+
+def _collapse(q, va, vb):
+    """(cost, position) of contracting edge (va, vb) under the summed
+    quadric q: the quadric minimizer when the normal system is well
+    conditioned and its solution stays near the edge, else the cheapest of
+    va, vb and the midpoint."""
+    det = _normal_det(q)
+    scale = max(abs(q[0]), abs(q[4]), abs(q[7]), 1e-300)
     if abs(det) > 1e-10 * scale**3:
-        x0 = (
-            b0 * (a11 * a22 - a12 * a12)
-            - a01 * (b1 * a22 - a12 * b2)
-            + a02 * (b1 * a12 - a11 * b2)
-        ) / det
-        x1 = (
-            a00 * (b1 * a22 - a12 * b2)
-            - b0 * (a01 * a22 - a02 * a12)
-            + a02 * (a01 * b2 - b1 * a02)
-        ) / det
-        x2 = (
-            a00 * (a11 * b2 - b1 * a12)
-            - a01 * (a01 * b2 - b1 * a02)
-            + b0 * (a01 * a12 - a11 * a02)
-        ) / det
-        x = (x0, x1, x2)
-        # reject wild solutions from near-singular quadrics
-        dx0, dx1, dx2 = x0 - va[0], x1 - va[1], x2 - va[2]
-        ex0, ex1, ex2 = x0 - vb[0], x1 - vb[1], x2 - vb[2]
-        e0, e1, e2 = vb[0] - va[0], vb[1] - va[1], vb[2] - va[2]
-        if dx0 * ex0 + dx1 * ex1 + dx2 * ex2 <= e0 * e0 + e1 * e1 + e2 * e2:
-            return x
-    best, bx = np.inf, tuple(va)
-    mid = (0.5 * (va[0] + vb[0]), 0.5 * (va[1] + vb[1]), 0.5 * (va[2] + vb[2]))
-    for x in (tuple(va), tuple(vb), mid):
+        x = _minimizer(q, det)
+        if _within_edge_ball(x, va, vb):
+            return _quadric_cost(q, x), x
+    best, bx = np.inf, va
+    for x in (va, vb, _midpoint(va, vb)):
         c = _quadric_cost(q, x)
         if c < best:
             best, bx = c, x
-    return bx
+    return _quadric_cost(q, bx), bx
+
+
+def _collapse_many(q, va, vb):
+    """``_collapse`` for every row of an (E, 10) quadric stack and (E, 3)
+    endpoint arrays, elementwise with the same expressions."""
+    terms = tuple(q.T)
+    a, b = tuple(va.T), tuple(vb.T)
+    det = _normal_det(terms)
+    scale = np.maximum(np.maximum(np.maximum(abs(terms[0]), abs(terms[4])), abs(terms[7])), 1e-300)
+    # Python's float power, so the threshold rounds exactly as in _collapse
+    cube = np.array([s**3 for s in scale.tolist()])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        solved = abs(det) > 1e-10 * cube
+        x = np.stack(_minimizer(terms, det), axis=1)
+        solved &= _within_edge_ball(tuple(x.T), a, b)
+        best = np.full(len(q), np.inf)
+        pos = va
+        for cand in (va, vb, np.stack(_midpoint(a, b), axis=1)):
+            c = _quadric_cost(terms, tuple(cand.T))
+            better = c < best
+            best = np.where(better, c, best)
+            pos = np.where(better[:, None], cand, pos)
+        pos = np.where(solved[:, None], x, pos)
+        return _quadric_cost(terms, tuple(pos.T)), pos
+
+
+def _tri_normal(p0, p1, p2):
+    ax, ay, az = p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]
+    bx, by, bz = p2[0] - p0[0], p2[1] - p0[1], p2[2] - p0[2]
+    return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
 
 
 def decimate(mesh: SurfaceMesh, target_vertex_count: int = 2500) -> SurfaceMesh:
@@ -298,18 +358,29 @@ def decimate(mesh: SurfaceMesh, target_vertex_count: int = 2500) -> SurfaceMesh:
     """
     if target_vertex_count < 4:
         raise IsosurfaceError("target vertex count must be at least 4")
-    verts = [tuple(v) for v in mesh.vertices]
-    tris = [tuple(t) for t in mesh.triangles]
+    n_verts = mesh.n_vertices
+    verts = list(map(tuple, mesh.vertices.tolist()))
+    tris = list(map(tuple, mesh.triangles.tolist()))
     alive_tri = [True] * len(tris)
-    v_tris = [set() for _ in range(len(verts))]
+    v_tris = [set() for _ in range(n_verts)]
     for ti, t in enumerate(tris):
         for v in t:
             v_tris[v].add(ti)
-    alive_v = [True] * len(verts)
-    Q = [q.tolist() for q in _vertex_quadrics(mesh.vertices, mesh.triangles)]
+    alive_v = [True] * n_verts
+    Qa = _vertex_quadrics(mesh.vertices, mesh.triangles)
+    Q = list(map(tuple, Qa.tolist()))
+    version = [0] * n_verts
 
-    def add_q(qa, qb):
-        return [[qa[i][j] + qb[i][j] for j in range(4)] for i in range(4)]
+    # every unique edge once, in first-occurrence order, costed in one pass;
+    # the (cost, u, v, versions) keys are unique, so pops follow the keys
+    edges = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    edges.sort(axis=1)
+    _, first = np.unique(edges[:, 0] * n_verts + edges[:, 1], return_index=True)
+    eu, ev = edges[np.sort(first)].T
+    cost, pos = _collapse_many(Qa[eu] + Qa[ev], mesh.vertices[eu], mesh.vertices[ev])
+    heap = list(zip(cost.tolist(), eu.tolist(), ev.tolist(), [0] * len(eu), [0] * len(eu),
+                    map(tuple, pos.tolist())))
+    heapq.heapify(heap)
 
     def neighbors(v):
         out = set()
@@ -318,32 +389,7 @@ def decimate(mesh: SurfaceMesh, target_vertex_count: int = 2500) -> SurfaceMesh:
         out.discard(v)
         return out
 
-    version = [0] * len(verts)
-    heap = []
-
-    def push_edge(u, v):
-        if u > v:
-            u, v = v, u
-        q = add_q(Q[u], Q[v])
-        pos = _optimal_position(q, verts[u], verts[v])
-        cost = _quadric_cost(q, pos)
-        heapq.heappush(heap, (cost, u, v, version[u], version[v], pos))
-
-    seen = set()
-    for t in tris:
-        for u, v in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            key = (u, v) if u < v else (v, u)
-            if key not in seen:
-                seen.add(key)
-                push_edge(u, v)
-    del seen
-
-    def tri_normal(p0, p1, p2):
-        ax, ay, az = p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]
-        bx, by, bz = p2[0] - p0[0], p2[1] - p0[1], p2[2] - p0[2]
-        return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
-
-    n_alive = len(verts)
+    n_alive = n_verts
     while n_alive > target_vertex_count and heap:
         cost, u, v, ver_u, ver_v, pos = heapq.heappop(heap)
         if not (alive_v[u] and alive_v[v]):
@@ -361,11 +407,12 @@ def decimate(mesh: SurfaceMesh, target_vertex_count: int = 2500) -> SurfaceMesh:
         # simulate: move u to pos, delete triangles containing both u and v
         ok = True
         for ti in (v_tris[u] | v_tris[v]) - dead:
-            t = tris[ti]
-            p_old = (verts[t[0]], verts[t[1]], verts[t[2]])
-            p_new = tuple(pos if w in (u, v) else verts[w] for w in t)
-            no = tri_normal(*p_old)
-            nn = tri_normal(*p_new)
+            a, b, c = tris[ti]
+            pa, pb, pc = verts[a], verts[b], verts[c]
+            no = _tri_normal(pa, pb, pc)
+            nn = _tri_normal(pos if a == u or a == v else pa,
+                             pos if b == u or b == v else pb,
+                             pos if c == u or c == v else pc)
             nn_sq = nn[0] * nn[0] + nn[1] * nn[1] + nn[2] * nn[2]
             if nn_sq < 4e-18 or no[0] * nn[0] + no[1] * nn[1] + no[2] * nn[2] <= 0:
                 ok = False
@@ -373,8 +420,8 @@ def decimate(mesh: SurfaceMesh, target_vertex_count: int = 2500) -> SurfaceMesh:
         if not ok:
             continue
         # commit
-        verts[u] = tuple(pos)
-        Q[u] = add_q(Q[u], Q[v])
+        verts[u] = pos
+        Q[u] = tuple(map(add, Q[u], Q[v]))
         for ti in dead:
             alive_tri[ti] = False
             for w in tris[ti]:
@@ -388,7 +435,9 @@ def decimate(mesh: SurfaceMesh, target_vertex_count: int = 2500) -> SurfaceMesh:
         n_alive -= 1
         version[u] += 1
         for w in neighbors(u):
-            push_edge(u, w)
+            a, b = (u, w) if u < w else (w, u)
+            c, x = _collapse(tuple(map(add, Q[a], Q[b])), verts[a], verts[b])
+            heapq.heappush(heap, (c, a, b, version[a], version[b], x))
 
     # compact
     used = sorted({w for ti, ok in enumerate(alive_tri) if ok for w in tris[ti]})

@@ -27,6 +27,7 @@ __all__ = [
     "tetrahedralize",
     "scaled_jacobian",
     "radius_edge",
+    "radius_edge_many",
     "assess",
     "propagate_volume",
 ]
@@ -83,7 +84,6 @@ class TetMesh:
 @dataclass
 class QualityReport:
     scaled_jacobian: np.ndarray
-    radius_edge: np.ndarray
     volumes: np.ndarray
     min_scaled_jacobian: float
     mean_scaled_jacobian: float
@@ -139,6 +139,7 @@ def radius_edge(tet_vertices: np.ndarray) -> float:
 
 
 def radius_edge_many(tets_xyz: np.ndarray) -> np.ndarray:
+    """Vectorized radius-edge ratio for an (M, 4, 3) stack of tets."""
     p = np.asarray(tets_xyz, dtype=np.float64)
     a = p[:, 0]
     rhs = np.empty((p.shape[0], 3))
@@ -243,12 +244,10 @@ def assess(mesh: TetMesh) -> QualityReport:
     """Per-element quality; flags the mesh invalid on any non-positive element."""
     p = mesh.vertices[mesh.tets]
     sj = scaled_jacobian_many(p)
-    re = radius_edge_many(p)
     vol = mesh.volumes()
     n_bad = int(np.sum(sj <= 0.0))
     return QualityReport(
         scaled_jacobian=sj,
-        radius_edge=re,
         volumes=vol,
         min_scaled_jacobian=float(sj.min()),
         mean_scaled_jacobian=float(sj.mean()),

@@ -143,26 +143,59 @@ def _parse_header(path: str) -> dict:
     return header
 
 
+def _numbers(header: dict, key: str, kind, default: str, count: int, path: str) -> tuple:
+    """The ``count`` whitespace-separated numbers of ``key``, parsed by ``kind``."""
+    text = header.get(key, default)
+    try:
+        values = tuple(kind(v) for v in text.split())
+    except ValueError:
+        values = ()
+    if len(values) != count:
+        raise VolumeError(f"bad {key} {text!r} in {path!r}: expected {count} value(s)")
+    return values
+
+
+def _unsupported(header: dict, path: str) -> None:
+    """Reject header keys whose non-default values this reader would
+    otherwise ignore, misreading the payload or its geometry."""
+    for key in ("BinaryDataByteOrderMSB", "ElementByteOrderMSB", "CompressedData"):
+        if header.get(key, "False").lower() != "false":
+            raise VolumeError(f"unsupported {key} = {header[key]} in {path!r}")
+    if _numbers(header, "HeaderSize", int, "0", 1, path) != (0,):
+        raise VolumeError(f"unsupported HeaderSize = {header['HeaderSize']} in {path!r}")
+    identity = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+    for key in ("TransformMatrix", "Rotation", "Orientation"):
+        if _numbers(header, key, float, "1 0 0 0 1 0 0 0 1", 9, path) != identity:
+            raise VolumeError(f"unsupported non-identity {key} = {header[key]} in {path!r}")
+    if header["ElementDataFile"].upper().split()[:1] in (["LOCAL"], ["LIST"]):
+        raise VolumeError(
+            f"unsupported ElementDataFile = {header['ElementDataFile']} in {path!r}"
+        )
+
+
 def read_mhd(path: str, labels: bool = False):
     """Read a MetaImage header + raw pair.
 
     Returns a LabelVolume when ``labels`` is true (payload cast to integer),
     else an ImageVolume.  Vector-valued payloads are supported through the
-    ElementNumberOfChannels key.
+    ElementNumberOfChannels key.  Big-endian, compressed, in-header or
+    multi-file payloads, a header offset and a non-identity orientation are
+    rejected with a VolumeError naming the key.
     """
     header = _parse_header(path)
     for key in ("DimSize", "ElementType", "ElementDataFile"):
         if key not in header:
             raise VolumeError(f"missing required header key {key!r} in {path!r}")
-    ndims = int(header.get("NDims", "3"))
+    (ndims,) = _numbers(header, "NDims", int, "3", 1, path)
     if ndims != 3:
         raise VolumeError(f"only 3-dimensional volumes supported, got NDims={ndims}")
-    dims = tuple(int(v) for v in header["DimSize"].split())
-    if len(dims) != 3 or any(d <= 0 for d in dims):
+    _unsupported(header, path)
+    dims = _numbers(header, "DimSize", int, "", 3, path)
+    if any(d <= 0 for d in dims):
         raise VolumeError(f"bad DimSize {header['DimSize']!r}")
-    spacing = tuple(float(v) for v in header.get("ElementSpacing", "1 1 1").split())
-    origin = tuple(float(v) for v in header.get("Offset", "0 0 0").split())
-    channels = int(header.get("ElementNumberOfChannels", "1"))
+    spacing = _numbers(header, "ElementSpacing", float, "1 1 1", 3, path)
+    origin = _numbers(header, "Offset", float, "0 0 0", 3, path)
+    (channels,) = _numbers(header, "ElementNumberOfChannels", int, "1", 1, path)
     met = header["ElementType"]
     if met not in _MET_TO_DTYPE:
         raise VolumeError(f"unsupported ElementType {met!r}")

@@ -24,23 +24,25 @@ class VtkIoError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
+def _rows(fmt: str, a: np.ndarray) -> str:
+    """One ``fmt`` line per row of ``a``, formatted by a single ``%``."""
+    return (fmt * len(a)) % tuple(a.ravel().tolist())
 
 
 def write_polydata(mesh: SurfaceMesh, path: str, comment: str = "surface") -> None:
     v = mesh.vertices
     t = mesh.triangles
+    text = [
+        "# vtk DataFile Version 3.0\n",
+        comment + "\n",
+        "ASCII\nDATASET POLYDATA\n",
+        f"POINTS {len(v)} float\n",
+        _rows("%.9g %.9g %.9g\n", v),
+        f"POLYGONS {len(t)} {4 * len(t)}\n",
+        _rows("3 %d %d %d\n", t),
+    ]
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(comment + "\n")
-        fh.write("ASCII\nDATASET POLYDATA\n")
-        fh.write(f"POINTS {len(v)} float\n")
-        for p in v:
-            fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
-        fh.write(f"POLYGONS {len(t)} {4 * len(t)}\n")
-        for a, b, c in t:
-            fh.write(f"3 {a} {b} {c}\n")
+        fh.write("".join(text))
 
 
 def read_polydata(path: str) -> SurfaceMesh:
@@ -63,31 +65,35 @@ def read_polydata(path: str) -> SurfaceMesh:
 def write_unstructured_grid(mesh: TetMesh, path: str, comment: str = "tetmesh") -> None:
     v = mesh.vertices
     t = mesh.tets
+    text = [
+        "# vtk DataFile Version 3.0\n",
+        comment + "\n",
+        "ASCII\nDATASET UNSTRUCTURED_GRID\n",
+        f"POINTS {len(v)} float\n",
+        _rows("%.9g %.9g %.9g\n", v),
+        f"CELLS {len(t)} {5 * len(t)}\n",
+        _rows("4 %d %d %d %d\n", t),
+        f"CELL_TYPES {len(t)}\n",
+        "\n".join(["10"] * len(t)) + "\n",
+    ]
+    if mesh.quality is not None:
+        text += [
+            f"CELL_DATA {len(t)}\n",
+            "SCALARS scaled_jacobian float 1\nLOOKUP_TABLE default\n",
+            _rows("%.9g\n", mesh.quality.scaled_jacobian),
+        ]
+    if len(mesh.boundary_map):
+        # surface-vertex correspondence: index into the generating surface,
+        # -1 for vertices that are not mapped
+        sidx = np.full(len(v), -1, dtype=np.int64)
+        sidx[mesh.boundary_map] = np.arange(len(mesh.boundary_map))
+        text += [
+            f"POINT_DATA {len(v)}\n",
+            "SCALARS surface_index int 1\nLOOKUP_TABLE default\n",
+            _rows("%d\n", sidx),
+        ]
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(comment + "\n")
-        fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {len(v)} float\n")
-        for p in v:
-            fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
-        fh.write(f"CELLS {len(t)} {5 * len(t)}\n")
-        for a, b, c, d in t:
-            fh.write(f"4 {a} {b} {c} {d}\n")
-        fh.write(f"CELL_TYPES {len(t)}\n")
-        fh.write("\n".join(["10"] * len(t)) + "\n")
-        if mesh.quality is not None:
-            fh.write(f"CELL_DATA {len(t)}\n")
-            fh.write("SCALARS scaled_jacobian float 1\nLOOKUP_TABLE default\n")
-            for q in mesh.quality.scaled_jacobian:
-                fh.write(_fmt(q) + "\n")
-        if len(mesh.boundary_map):
-            # surface-vertex correspondence: index into the generating surface,
-            # -1 for vertices that are not mapped
-            sidx = np.full(len(v), -1, dtype=np.int64)
-            sidx[mesh.boundary_map] = np.arange(len(mesh.boundary_map))
-            fh.write(f"POINT_DATA {len(v)}\n")
-            fh.write("SCALARS surface_index int 1\nLOOKUP_TABLE default\n")
-            fh.write("\n".join(str(s) for s in sidx) + "\n")
+        fh.write("".join(text))
 
 
 def read_unstructured_grid(path: str) -> TetMesh:
@@ -118,13 +124,14 @@ def read_unstructured_grid(path: str) -> TetMesh:
 def write_ply(mesh: SurfaceMesh, path: str) -> None:
     v = mesh.vertices
     t = mesh.triangles
+    text = [
+        "ply\nformat ascii 1.0\n",
+        f"element vertex {len(v)}\n",
+        "property float x\nproperty float y\nproperty float z\n",
+        f"element face {len(t)}\n",
+        "property list uchar int vertex_indices\nend_header\n",
+        _rows("%.9g %.9g %.9g\n", v),
+        _rows("3 %d %d %d\n", t),
+    ]
     with open(path, "w") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {len(v)}\n")
-        fh.write("property float x\nproperty float y\nproperty float z\n")
-        fh.write(f"element face {len(t)}\n")
-        fh.write("property list uchar int vertex_indices\nend_header\n")
-        for p in v:
-            fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
-        for a, b, c in t:
-            fh.write(f"3 {a} {b} {c}\n")
+        fh.write("".join(text))

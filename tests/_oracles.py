@@ -5,8 +5,14 @@ Everything here is deliberately written in the most literal way possible
 library is meaningful.
 """
 
+import heapq
+
 import numpy as np
 from scipy.special import stdtr
+
+from lvmesh import geometry
+from lvmesh.isosurface import IsosurfaceError, SurfaceMesh
+from lvmesh.tetmesh import TetMesh
 
 
 def point_triangle_distance(p, a, b, c):
@@ -177,3 +183,260 @@ def node_distance(va, vb):
     d = [np.sqrt(sum((pa[i] - pb[i]) ** 2 for i in range(3)))
          for pa, pb in zip(va, vb)]
     return float(np.mean(d)), float(np.max(d))
+
+
+# ---------------------------------------------------------------------------
+# Quadric-error decimation as first written: 4x4 nested-list quadrics, one
+# heappush per initial edge.  ``isosurface.decimate`` must match it bit for bit.
+
+
+def _vertex_quadrics(verts, tris):
+    n = geometry.triangle_normals(verts, tris)
+    norm = np.linalg.norm(n, axis=1)
+    keep = norm > 1e-300
+    n = n[keep] / norm[keep][:, None]
+    d = -np.einsum("ij,ij->i", n, verts[tris[keep, 0]])
+    p = np.concatenate([n, d[:, None]], axis=1)  # (M, 4)
+    K = p[:, :, None] * p[:, None, :]  # (M, 4, 4)
+    Q = np.zeros((len(verts), 4, 4))
+    for i in range(3):
+        np.add.at(Q, tris[keep, i], K)
+    return Q
+
+
+def _quadric_cost(Q, x):
+    # homogeneous form [x 1] Q [x 1]^T, unrolled for speed
+    q = Q
+    x0, x1, x2 = x
+    return (
+        q[0][0] * x0 * x0 + q[1][1] * x1 * x1 + q[2][2] * x2 * x2
+        + 2.0 * (q[0][1] * x0 * x1 + q[0][2] * x0 * x2 + q[1][2] * x1 * x2)
+        + 2.0 * (q[0][3] * x0 + q[1][3] * x1 + q[2][3] * x2)
+        + q[3][3]
+    )
+
+
+def _optimal_position(Q, va, vb):
+    # minimize the quadric: solve the 3x3 normal system by Cramer's rule
+    q = Q
+    a00, a01, a02 = q[0][0], q[0][1], q[0][2]
+    a11, a12, a22 = q[1][1], q[1][2], q[2][2]
+    b0, b1, b2 = -q[0][3], -q[1][3], -q[2][3]
+    det = (
+        a00 * (a11 * a22 - a12 * a12)
+        - a01 * (a01 * a22 - a12 * a02)
+        + a02 * (a01 * a12 - a11 * a02)
+    )
+    scale = max(abs(a00), abs(a11), abs(a22), 1e-300)
+    if abs(det) > 1e-10 * scale**3:
+        x0 = (
+            b0 * (a11 * a22 - a12 * a12)
+            - a01 * (b1 * a22 - a12 * b2)
+            + a02 * (b1 * a12 - a11 * b2)
+        ) / det
+        x1 = (
+            a00 * (b1 * a22 - a12 * b2)
+            - b0 * (a01 * a22 - a02 * a12)
+            + a02 * (a01 * b2 - b1 * a02)
+        ) / det
+        x2 = (
+            a00 * (a11 * b2 - b1 * a12)
+            - a01 * (a01 * b2 - b1 * a02)
+            + b0 * (a01 * a12 - a11 * a02)
+        ) / det
+        x = (x0, x1, x2)
+        # reject wild solutions from near-singular quadrics
+        dx0, dx1, dx2 = x0 - va[0], x1 - va[1], x2 - va[2]
+        ex0, ex1, ex2 = x0 - vb[0], x1 - vb[1], x2 - vb[2]
+        e0, e1, e2 = vb[0] - va[0], vb[1] - va[1], vb[2] - va[2]
+        if dx0 * ex0 + dx1 * ex1 + dx2 * ex2 <= e0 * e0 + e1 * e1 + e2 * e2:
+            return x
+    best, bx = np.inf, tuple(va)
+    mid = (0.5 * (va[0] + vb[0]), 0.5 * (va[1] + vb[1]), 0.5 * (va[2] + vb[2]))
+    for x in (tuple(va), tuple(vb), mid):
+        c = _quadric_cost(q, x)
+        if c < best:
+            best, bx = c, x
+    return bx
+
+
+def decimate(mesh: SurfaceMesh, target_vertex_count: int = 2500) -> SurfaceMesh:
+    """Edge-collapse decimation ordered by quadric error.
+
+    Collapses that would flip a surviving triangle's normal, create a
+    non-manifold edge (link condition) or produce a degenerate face are
+    rejected.  Stops at the target vertex count or when no legal collapse
+    remains.
+    """
+    if target_vertex_count < 4:
+        raise IsosurfaceError("target vertex count must be at least 4")
+    verts = [tuple(v) for v in mesh.vertices]
+    tris = [tuple(t) for t in mesh.triangles]
+    alive_tri = [True] * len(tris)
+    v_tris = [set() for _ in range(len(verts))]
+    for ti, t in enumerate(tris):
+        for v in t:
+            v_tris[v].add(ti)
+    alive_v = [True] * len(verts)
+    Q = [q.tolist() for q in _vertex_quadrics(mesh.vertices, mesh.triangles)]
+
+    def add_q(qa, qb):
+        return [[qa[i][j] + qb[i][j] for j in range(4)] for i in range(4)]
+
+    def neighbors(v):
+        out = set()
+        for ti in v_tris[v]:
+            out.update(tris[ti])
+        out.discard(v)
+        return out
+
+    version = [0] * len(verts)
+    heap = []
+
+    def push_edge(u, v):
+        if u > v:
+            u, v = v, u
+        q = add_q(Q[u], Q[v])
+        pos = _optimal_position(q, verts[u], verts[v])
+        cost = _quadric_cost(q, pos)
+        heapq.heappush(heap, (cost, u, v, version[u], version[v], pos))
+
+    seen = set()
+    for t in tris:
+        for u, v in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+            key = (u, v) if u < v else (v, u)
+            if key not in seen:
+                seen.add(key)
+                push_edge(u, v)
+    del seen
+
+    def tri_normal(p0, p1, p2):
+        ax, ay, az = p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]
+        bx, by, bz = p2[0] - p0[0], p2[1] - p0[1], p2[2] - p0[2]
+        return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+
+    n_alive = len(verts)
+    while n_alive > target_vertex_count and heap:
+        cost, u, v, ver_u, ver_v, pos = heapq.heappop(heap)
+        if not (alive_v[u] and alive_v[v]):
+            continue
+        if version[u] != ver_u or version[v] != ver_v:
+            continue
+        dead = v_tris[u] & v_tris[v]
+        if not dead:
+            continue
+        # link condition: shared neighbors must be exactly the two wing vertices
+        shared = neighbors(u) & neighbors(v)
+        wing = {w for ti in dead for w in tris[ti]} - {u, v}
+        if shared != wing or len(wing) != 2:
+            continue
+        # simulate: move u to pos, delete triangles containing both u and v
+        ok = True
+        for ti in (v_tris[u] | v_tris[v]) - dead:
+            t = tris[ti]
+            p_old = (verts[t[0]], verts[t[1]], verts[t[2]])
+            p_new = tuple(pos if w in (u, v) else verts[w] for w in t)
+            no = tri_normal(*p_old)
+            nn = tri_normal(*p_new)
+            nn_sq = nn[0] * nn[0] + nn[1] * nn[1] + nn[2] * nn[2]
+            if nn_sq < 4e-18 or no[0] * nn[0] + no[1] * nn[1] + no[2] * nn[2] <= 0:
+                ok = False
+                break
+        if not ok:
+            continue
+        # commit
+        verts[u] = tuple(pos)
+        Q[u] = add_q(Q[u], Q[v])
+        for ti in dead:
+            alive_tri[ti] = False
+            for w in tris[ti]:
+                v_tris[w].discard(ti)
+        for ti in list(v_tris[v]):
+            t = tris[ti]
+            tris[ti] = tuple(u if w == v else w for w in t)
+            v_tris[u].add(ti)
+            v_tris[v].discard(ti)
+        alive_v[v] = False
+        n_alive -= 1
+        version[u] += 1
+        for w in neighbors(u):
+            push_edge(u, w)
+
+    # compact
+    used = sorted({w for ti, ok in enumerate(alive_tri) if ok for w in tris[ti]})
+    new_id = {w: i for i, w in enumerate(used)}
+    out_tris = np.array(
+        [[new_id[w] for w in tris[ti]] for ti, ok in enumerate(alive_tri) if ok],
+        dtype=np.int64,
+    )
+    out_verts = np.array([verts[w] for w in used])
+    return SurfaceMesh(out_verts, out_tris, mesh.frame_id)
+
+
+# ---------------------------------------------------------------------------
+# VTK/PLY writers as first written: one ``write`` per line.  The library's
+# writers must produce byte-identical files.
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.9g}"
+
+
+def write_polydata(mesh: SurfaceMesh, path: str, comment: str = "surface") -> None:
+    v = mesh.vertices
+    t = mesh.triangles
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write(comment + "\n")
+        fh.write("ASCII\nDATASET POLYDATA\n")
+        fh.write(f"POINTS {len(v)} float\n")
+        for p in v:
+            fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
+        fh.write(f"POLYGONS {len(t)} {4 * len(t)}\n")
+        for a, b, c in t:
+            fh.write(f"3 {a} {b} {c}\n")
+
+
+def write_unstructured_grid(mesh: TetMesh, path: str, comment: str = "tetmesh") -> None:
+    v = mesh.vertices
+    t = mesh.tets
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write(comment + "\n")
+        fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {len(v)} float\n")
+        for p in v:
+            fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
+        fh.write(f"CELLS {len(t)} {5 * len(t)}\n")
+        for a, b, c, d in t:
+            fh.write(f"4 {a} {b} {c} {d}\n")
+        fh.write(f"CELL_TYPES {len(t)}\n")
+        fh.write("\n".join(["10"] * len(t)) + "\n")
+        if mesh.quality is not None:
+            fh.write(f"CELL_DATA {len(t)}\n")
+            fh.write("SCALARS scaled_jacobian float 1\nLOOKUP_TABLE default\n")
+            for q in mesh.quality.scaled_jacobian:
+                fh.write(_fmt(q) + "\n")
+        if len(mesh.boundary_map):
+            # surface-vertex correspondence: index into the generating surface,
+            # -1 for vertices that are not mapped
+            sidx = np.full(len(v), -1, dtype=np.int64)
+            sidx[mesh.boundary_map] = np.arange(len(mesh.boundary_map))
+            fh.write(f"POINT_DATA {len(v)}\n")
+            fh.write("SCALARS surface_index int 1\nLOOKUP_TABLE default\n")
+            fh.write("\n".join(str(s) for s in sidx) + "\n")
+
+
+def write_ply(mesh: SurfaceMesh, path: str) -> None:
+    v = mesh.vertices
+    t = mesh.triangles
+    with open(path, "w") as fh:
+        fh.write("ply\nformat ascii 1.0\n")
+        fh.write(f"element vertex {len(v)}\n")
+        fh.write("property float x\nproperty float y\nproperty float z\n")
+        fh.write(f"element face {len(t)}\n")
+        fh.write("property list uchar int vertex_indices\nend_header\n")
+        for p in v:
+            fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
+        for a, b, c in t:
+            fh.write(f"3 {a} {b} {c}\n")

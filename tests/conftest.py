@@ -28,12 +28,17 @@ def small_phantom():
 
 
 @pytest.fixture(scope="session")
-def ed_surface(small_phantom):
+def ed_surface_full(small_phantom):
+    """Undecimated ED myocardium surface of the shared phantom."""
     _, _, labels, _ = small_phantom
-    surf = isosurface.marching_cubes(
+    return isosurface.marching_cubes(
         labels[0], phantom.LABEL_MYOCARDIUM, iso_policy="smooth"
     )
-    return isosurface.decimate(surf, 2000)
+
+
+@pytest.fixture(scope="session")
+def ed_surface(ed_surface_full):
+    return isosurface.decimate(ed_surface_full, 2000)
 
 
 @pytest.fixture(scope="session")

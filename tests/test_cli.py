@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -7,6 +8,7 @@ import pytest
 
 from lvmesh.cli import build_parser, main
 from lvmesh.phantom import PhantomSpec
+from lvmesh.tetmesh import radius_edge_many
 from lvmesh.volume import read_mhd
 from lvmesh.vtkio import read_polydata, read_unstructured_grid
 
@@ -74,7 +76,10 @@ def test_isosurface_decimate_tetmesh_quality(dataset, tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "min scaled Jacobian" in out
-    assert sum(1 for _ in open(csv_path)) == len(mesh.tets) + 1
+    rows = list(csv.DictReader(open(csv_path)))
+    assert len(rows) == len(mesh.tets)
+    expected = radius_edge_many(mesh.vertices[mesh.tets])
+    assert [r["radius_edge"] for r in rows] == [f"{x:.9g}" for x in expected]
 
 
 def test_align_cli(tmp_path):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles
 from conftest import random_blob
-from lvmesh import geometry
+from lvmesh import geometry, isosurface, phantom
 from lvmesh.isosurface import (
     IsosurfaceError,
     SurfaceMesh,
@@ -128,3 +130,86 @@ def test_propagate_surface_translation():
                                np.tile([0, 2.5, 0], (surf.n_vertices, 1)), atol=1e-9)
     assert out.frame_id == 4
     assert np.array_equal(out.triangles, surf.triangles)
+
+
+def _decimate_like_oracle(surf, target):
+    """Library decimation, asserted bit-identical to the literal oracle."""
+    got = decimate(surf, target)
+    ref = _oracles.decimate(surf, target)
+    assert got.vertices.tobytes() == ref.vertices.tobytes()
+    assert np.array_equal(got.triangles, ref.triangles)
+    return got
+
+
+def test_decimate_matches_oracle_on_ed_surface(ed_surface_full, ed_surface):
+    ref = _oracles.decimate(ed_surface_full, 2000)
+    assert ed_surface.vertices.tobytes() == ref.vertices.tobytes()
+    assert np.array_equal(ed_surface.triangles, ref.triangles)
+
+
+def _phantom_24_surface(iso_policy):
+    spec = phantom.PhantomSpec(dims=(24, 24, 24), spacing=(2.0, 2.0, 2.0),
+                               endo_axes=(11.0, 11.0, 16.0), epi_axes=(17.0, 17.0, 22.0),
+                               basal_cut_mm=13.0)
+    labels = LabelVolume(phantom.myocardium_mask(spec, 0).astype(np.int32), spec.spacing)
+    return marching_cubes(labels, 1, iso_policy=iso_policy)
+
+
+@pytest.mark.parametrize("iso_policy", ["binary", "smooth"])
+def test_decimate_matches_oracle_on_24_cube_phantom(iso_policy):
+    out = _decimate_like_oracle(_phantom_24_surface(iso_policy), 300)
+    assert out.n_vertices == 300
+
+
+@pytest.mark.parametrize("iso_policy", ["binary", "smooth"])
+def test_initial_edge_collapses_match_oracle_per_edge(iso_policy):
+    # the vectorized first pass, edge by edge, against the nested-list
+    # quadrics; the smooth surface has edges whose minimizer leaves the
+    # edge's ball and falls back to an endpoint or the midpoint
+    surf = _phantom_24_surface(iso_policy)
+    v, t = surf.vertices, surf.triangles
+    q4 = _oracles._vertex_quadrics(v, t)
+    q10 = isosurface._vertex_quadrics(v, t)
+    rows, cols = zip(*isosurface._QUADRIC_TERMS)
+    assert q10.tobytes() == q4[:, rows, cols].tobytes()
+    edges = np.unique(np.sort(t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1), axis=0)
+    a, b = edges.T
+    cost, pos = isosurface._collapse_many(q10[a] + q10[b], v[a], v[b])
+    ref_cost, ref_pos = [], []
+    for i, j in edges.tolist():
+        q = (q4[i] + q4[j]).tolist()
+        x = _oracles._optimal_position(q, tuple(v[i]), tuple(v[j]))
+        ref_pos.append(x)
+        ref_cost.append(_oracles._quadric_cost(q, x))
+    assert cost.tobytes() == np.array(ref_cost).tobytes()
+    assert pos.tobytes() == np.array(ref_pos).tobytes()
+
+
+def test_decimate_matches_oracle_when_no_legal_collapse_remains():
+    # a genus-1 surface cannot shrink to 4 vertices under the link condition
+    ax = np.arange(16) - 7.5
+    zz, yy, xx = np.meshgrid(ax, ax, ax, indexing="ij")
+    torus = (np.hypot(xx, yy) - 4.5) ** 2 + zz**2 <= 2.2**2
+    surf = marching_cubes(LabelVolume(torus.astype(np.int32), (1, 1, 1)), 1)
+    out = _decimate_like_oracle(surf, 4)
+    assert out.n_vertices > 4
+    assert out.is_watertight()
+    assert out.euler_characteristic() == surf.euler_characteristic() == 0
+
+
+@pytest.mark.parametrize("factor", [1, 3])
+def test_decimate_matches_oracle_at_or_above_vertex_count(factor):
+    surf = marching_cubes(_sphere_labels(4.0), 1)
+    out = _decimate_like_oracle(surf, factor * surf.n_vertices)
+    assert out.vertices.tobytes() == surf.vertices.tobytes()
+    assert np.array_equal(out.triangles, surf.triangles)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_decimate_keeps_topology_and_matches_oracle_on_random_blobs(seed):
+    mask = random_blob(np.random.default_rng(seed), (8, 8, 8))
+    surf = marching_cubes(LabelVolume(mask.astype(np.int32), (1, 1, 1)), 1)
+    out = _decimate_like_oracle(surf, max(4, surf.n_vertices // 4))
+    assert out.is_watertight()
+    assert out.euler_characteristic() == surf.euler_characteristic()

@@ -70,6 +70,64 @@ def test_mhd_payload_size_mismatch(tmp_path):
         read_mhd(path)
 
 
+def _mhd_with(tmp_path, data=None, **keys):
+    """write_mhd output with header keys replaced or added."""
+    if data is None:
+        data = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+    path = tmp_path / "v.mhd"
+    write_mhd(ImageVolume(data, (1, 1, 1)), str(path))
+    lines = path.read_text().splitlines()
+    for key, value in keys.items():
+        line = f"{key} = {value}"
+        at = [i for i, old in enumerate(lines) if old.startswith(key + " =")]
+        if at:
+            lines[at[0]] = line
+        else:  # ElementDataFile stays last, where MetaImage requires it
+            lines.insert(len(lines) - 1, line)
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_mhd_big_endian_payload_rejected(tmp_path):
+    data = np.array([1.5, -2.0, 3.25, 4.0] * 6, dtype=np.float32).reshape(2, 3, 4)
+    for key in ("BinaryDataByteOrderMSB", "ElementByteOrderMSB"):
+        path = _mhd_with(tmp_path, data=data, **{key: "True"})
+        # the payload really is big-endian, as the header says
+        data.astype(">f4").tofile(str(tmp_path / "v.raw"))
+        with pytest.raises(VolumeError, match=key):
+            read_mhd(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("CompressedData", "True"),
+    ("HeaderSize", "16"),
+    ("HeaderSize", "-1"),
+    ("TransformMatrix", "0 1 0 1 0 0 0 0 1"),
+    ("TransformMatrix", "1 0 0 0 1 0"),
+    ("Orientation", "-1 0 0 0 -1 0 0 0 1"),
+    ("ElementDataFile", "LOCAL"),
+    ("ElementDataFile", "LIST"),
+    ("ElementDataFile", "LIST 2D"),
+    ("ElementSpacing", "1 1"),
+    ("ElementSpacing", "1 1 1 1"),
+    ("Offset", "0 0"),
+    ("Offset", "0 0 zero"),
+    ("NDims", "three"),
+    ("ElementNumberOfChannels", "1.5"),
+])
+def test_mhd_unsupported_or_malformed_key_rejected(tmp_path, key, value):
+    with pytest.raises(VolumeError, match=key):
+        read_mhd(_mhd_with(tmp_path, **{key: value}))
+
+
+def test_mhd_default_valued_keys_accepted(tmp_path):
+    path = _mhd_with(tmp_path, BinaryDataByteOrderMSB="False", ElementByteOrderMSB="False",
+                     CompressedData="False", HeaderSize="0",
+                     TransformMatrix="1 0 0 0 1 0 0 0 1")
+    back = read_mhd(path)
+    assert np.array_equal(back.data, np.arange(24, dtype=np.float32).reshape(2, 3, 4))
+
+
 def test_trilinear_reproduces_trilinear_function():
     # a function linear in each axis is reproduced exactly inside the grid
     spacing, origin = (0.7, 1.3, 2.1), (-1.0, 2.0, 0.5)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import _oracles
+from lvmesh import vtkio
 from lvmesh.isosurface import SurfaceMesh
 from lvmesh.tetmesh import TetMesh, assess
 from lvmesh.vtkio import (
@@ -95,3 +97,54 @@ def test_ply_output(tmp_path):
     assert text.startswith("ply\nformat ascii 1.0\n")
     assert f"element vertex {surf.n_vertices}" in text
     assert f"element face {len(surf.triangles)}" in text
+
+
+# coordinates whose %.9g text is easy to get wrong: signed zero, tiny and
+# large magnitudes, values that need all nine digits
+_ODD = np.array([
+    [-0.0, 1e-12, 1e6],
+    [0.0, -1e-12, -1e6],
+    [123456.789, 0.1, -2.5],
+    [1.0 / 3.0, 2.0**60, -3.0e-300],
+    [np.pi, -np.e, 7.0],
+])
+
+
+def _odd_surface():
+    t = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4], [1, 3, 4], [2, 4, 1]])
+    return SurfaceMesh(_ODD, t)
+
+
+def _random_scale_surface():
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal((200, 3)) * 10.0 ** rng.uniform(-14, 9, (200, 1))
+    return SurfaceMesh(v, rng.integers(0, 200, (300, 3)))
+
+
+def _assert_same_file(tmp_path, write, write_ref, mesh):
+    got, ref = tmp_path / "got", tmp_path / "ref"
+    write(mesh, str(got))
+    write_ref(mesh, str(ref))
+    assert got.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["write_polydata", "write_ply"])
+def test_surface_writers_match_oracle_bytes(tmp_path, ed_surface, name):
+    empty = SurfaceMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))
+    for surf in (_surface(), _odd_surface(), _random_scale_surface(), ed_surface, empty):
+        _assert_same_file(tmp_path, getattr(vtkio, name), getattr(_oracles, name), surf)
+
+
+def test_unstructured_grid_writer_matches_oracle_bytes(tmp_path, ed_tetmesh):
+    bare = TetMesh(_ODD, np.array([[0, 1, 2, 3], [1, 2, 3, 4]]), np.arange(0))
+    assert bare.quality is None and len(bare.boundary_map) == 0
+    mapped = TetMesh(_ODD, bare.tets, np.array([4, 0, 2]))
+    mapped.quality = assess(mapped)
+    mapped.quality.scaled_jacobian = np.array([-0.0, 1e-12])
+    odd_quality = TetMesh(_ODD, bare.tets, np.arange(0))
+    odd_quality.quality = assess(odd_quality)
+    odd_quality.quality.scaled_jacobian = np.array([np.nan, -np.inf])
+    empty = TetMesh(np.empty((0, 3)), np.empty((0, 4), dtype=np.int64), np.arange(0))
+    for mesh in (bare, mapped, odd_quality, empty, _tetmesh(), ed_tetmesh):
+        _assert_same_file(tmp_path, write_unstructured_grid,
+                          _oracles.write_unstructured_grid, mesh)
