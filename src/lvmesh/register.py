@@ -96,10 +96,11 @@ class RegistrationConfig:
         for name in ("iterations", "pyramid_levels", "ffd_iterations", "ffd_samples"):
             if getattr(self, name) < 1:
                 raise RegistrationError(f"{name} must be at least 1")
-        for name in ("step_size", "ffd_control_spacing_vox"):
+        for name in ("step_size", "ffd_control_spacing_vox", "ffd_a"):
             if not getattr(self, name) > 0:
                 raise RegistrationError(f"{name} must be positive")
-        for name in ("lam", "smooth_sigma_vox", "ffd_bending_weight"):
+        for name in ("lam", "smooth_sigma_vox", "ffd_bending_weight", "ffd_A", "ffd_alpha",
+                     "seed"):
             if not getattr(self, name) >= 0:
                 raise RegistrationError(f"{name} must be non-negative")
 
@@ -360,6 +361,32 @@ def _lattice_coords(ffd: FfdTransform, pts: np.ndarray):
     return j, e - j
 
 
+def _first_node(ffd: FfdTransform, j: np.ndarray):
+    """Flat coefficient row of each point's first support node (j - 1), and
+    the (4, 4, 4) row offsets of all 64 support nodes from it."""
+    ncx, ncy, _ = ffd.lattice_dims
+    first = ((j[:, 2] - 1) * ncy + (j[:, 1] - 1)) * ncx + (j[:, 0] - 1)
+    lz, ly, lx = np.ogrid[:4, :4, :4]
+    return first, (lz * ncy + ly) * ncx + lx
+
+
+def _support(ffd: FfdTransform, j: np.ndarray) -> np.ndarray:
+    """Indices into ``coeffs.reshape(-1)`` of the 3 components of the 64
+    nodes supporting each point: (64, 3, n), nodes in (lz, ly, lx) order and
+    points last so that every loop runs along n.  Node (lz, ly, lx) is row
+    ``((j_z-1+lz)*ncy + (j_y-1+ly))*ncx + (j_x-1+lx)`` of ``reshape(-1, 3)``."""
+    first, offsets = _first_node(ffd, j)
+    rows = first + offsets.reshape(64, 1)
+    return rows[:, None, :] * 3 + np.arange(3)[:, None]
+
+
+def _weights(tx, ty, tz) -> np.ndarray:
+    """Tensor-product weights ``(tz[lz] * ty[ly]) * tx[lx]``: (64, n), in
+    (lz, ly, lx) order, from three 4-tuples of per-point basis values."""
+    tx, ty, tz = np.asarray(tx), np.asarray(ty), np.asarray(tz)
+    return ((tz[:, None, None] * ty[None, :, None]) * tx[None, None, :]).reshape(64, -1)
+
+
 def evaluate_ffd(ffd: FfdTransform, pts: np.ndarray) -> np.ndarray:
     """Displacement (mm) of the B-spline transform at physical points (N, 3)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
@@ -367,24 +394,26 @@ def evaluate_ffd(ffd: FfdTransform, pts: np.ndarray) -> np.ndarray:
     bx = _bspline_basis(t[:, 0])
     by = _bspline_basis(t[:, 1])
     bz = _bspline_basis(t[:, 2])
-    out = np.zeros((pts.shape[0], 3))
+    first, offsets = _first_node(ffd, j)
+    nodes = np.ascontiguousarray(ffd.coeffs.reshape(-1, 3).T)
+    out = np.zeros((3, pts.shape[0]))
+    # one offset at a time: a (64, N) array would not fit dense grids
     for lz in range(4):
-        iz = j[:, 2] - 1 + lz
         for ly in range(4):
-            iy = j[:, 1] - 1 + ly
             wzy = bz[lz] * by[ly]
             for lx in range(4):
-                ix = j[:, 0] - 1 + lx
                 w = wzy * bx[lx]
-                out += w[:, None] * ffd.coeffs[iz, iy, ix]
-    return out
+                out += w * nodes.take(first + offsets[lz, ly, lx], axis=1)
+    return np.ascontiguousarray(out.T)
 
 
 def bending_energy(ffd: FfdTransform, pts: np.ndarray):
     """Mean squared second derivatives of the transform at sample points.
 
     Returns (energy, gradient w.r.t. coeffs).  Vanishes for globally affine
-    transforms.
+    transforms.  The 64 support values of each point are gathered once for
+    all six derivative pairs, and each pair's gradient is one scatter whose
+    sums run in the same order as a loop over offsets, then points.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     j, t = _lattice_coords(ffd, pts)
@@ -394,8 +423,10 @@ def bending_energy(ffd: FfdTransform, pts: np.ndarray):
     scale = [1.0 / d for d in ffd.lattice_spacing]
 
     n = pts.shape[0]
+    index = _support(ffd, j)
+    values = ffd.coeffs.reshape(-1).take(index)  # (64, 3, n)
     energy = 0.0
-    grad = np.zeros_like(ffd.coeffs)
+    grad = np.zeros_like(ffd.coeffs, order="C")
     pairs = [(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (0, 1, 2.0), (0, 2, 2.0), (1, 2, 2.0)]
     for a, b, mult in pairs:
         order = [0, 0, 0]
@@ -403,29 +434,16 @@ def bending_energy(ffd: FfdTransform, pts: np.ndarray):
         order[b] += 1
         tabs = [(b0, b1, b2)[order[axis]][axis] for axis in range(3)]
         s = scale[a] * scale[b]
+        w = _weights(*tabs)[:, None, :]
         # accumulate second derivative vector at each sample point
-        d2 = np.zeros((n, 3))
-        for lz in range(4):
-            iz = j[:, 2] - 1 + lz
-            for ly in range(4):
-                iy = j[:, 1] - 1 + ly
-                wzy = tabs[2][lz] * tabs[1][ly]
-                for lx in range(4):
-                    ix = j[:, 0] - 1 + lx
-                    w = wzy * tabs[0][lx]
-                    d2 += w[:, None] * ffd.coeffs[iz, iy, ix]
+        d2 = np.zeros((3, n))
+        for term in w * values:
+            d2 += term
         d2 *= s
-        energy += mult * float(np.mean(np.sum(d2 * d2, axis=1)))
+        per_point = np.ascontiguousarray(d2.T)  # (n, 3): the row sums keep their order
+        energy += mult * float(np.mean(np.sum(per_point * per_point, axis=1)))
         coef = (mult * 2.0 / n) * s
-        for lz in range(4):
-            iz = j[:, 2] - 1 + lz
-            for ly in range(4):
-                iy = j[:, 1] - 1 + ly
-                wzy = tabs[2][lz] * tabs[1][ly]
-                for lx in range(4):
-                    ix = j[:, 0] - 1 + lx
-                    w = (wzy * tabs[0][lx])[:, None] * d2 * coef
-                    np.add.at(grad, (iz, iy, ix), w)
+        np.add.at(grad.reshape(-1), index.ravel(), (w * d2 * coef).ravel())
     return energy, grad
 
 
@@ -453,20 +471,11 @@ def register_ffd(fixed: ImageVolume, moving: ImageVolume, config: RegistrationCo
             raise RegistrationError(f"ffd optimization diverged at iteration {it}")
         # dMSE/dcoeff: scatter residual * image gradient through the basis
         j, t = _lattice_coords(cur, pts)
-        bx = _bspline_basis(t[:, 0])
-        by = _bspline_basis(t[:, 1])
-        bz = _bspline_basis(t[:, 2])
-        g = np.zeros_like(coeffs)
+        w = _weights(_bspline_basis(t[:, 0]), _bspline_basis(t[:, 1]), _bspline_basis(t[:, 2]))
         contrib = (2.0 / config.ffd_samples) * r[:, None] * grads
-        for lz in range(4):
-            iz = j[:, 2] - 1 + lz
-            for ly in range(4):
-                iy = j[:, 1] - 1 + ly
-                wzy = bz[lz] * by[ly]
-                for lx in range(4):
-                    ix = j[:, 0] - 1 + lx
-                    w = (wzy * bx[lx])[:, None] * contrib
-                    np.add.at(g, (iz, iy, ix), w)
+        g = np.zeros_like(coeffs, order="C")
+        terms = w[:, None, :] * contrib.T
+        np.add.at(g.reshape(-1), _support(cur, j).ravel(), terms.ravel())
         if config.ffd_bending_weight > 0:
             _, gb = bending_energy(cur, pts)
             g += config.ffd_bending_weight * gb

@@ -155,6 +155,17 @@ def _numbers(header: dict, key: str, kind, default: str, count: int, path: str) 
     return values
 
 
+def _origin(header: dict, path: str) -> tuple:
+    """``Offset`` or its MetaImage aliases ``Origin`` and ``Position``, read
+    as one key: keys that are given must agree."""
+    given = {key: _numbers(header, key, float, "", 3, path)
+             for key in ("Offset", "Origin", "Position") if key in header}
+    if len(set(given.values())) > 1:
+        keys = " and ".join(f"{key} = {header[key]}" for key in given)
+        raise VolumeError(f"conflicting {keys} in {path!r}")
+    return next(iter(given.values()), (0.0, 0.0, 0.0))
+
+
 def _unsupported(header: dict, path: str) -> None:
     """Reject header keys whose non-default values this reader would
     otherwise ignore, misreading the payload or its geometry."""
@@ -178,7 +189,8 @@ def read_mhd(path: str, labels: bool = False):
 
     Returns a LabelVolume when ``labels`` is true (payload cast to integer),
     else an ImageVolume.  Vector-valued payloads are supported through the
-    ElementNumberOfChannels key.  Big-endian, compressed, in-header or
+    ElementNumberOfChannels key.  The origin is read from ``Offset`` or its
+    aliases ``Origin`` and ``Position``.  Big-endian, compressed, in-header or
     multi-file payloads, a header offset and a non-identity orientation are
     rejected with a VolumeError naming the key.
     """
@@ -194,7 +206,7 @@ def read_mhd(path: str, labels: bool = False):
     if any(d <= 0 for d in dims):
         raise VolumeError(f"bad DimSize {header['DimSize']!r}")
     spacing = _numbers(header, "ElementSpacing", float, "1 1 1", 3, path)
-    origin = _numbers(header, "Offset", float, "0 0 0", 3, path)
+    origin = _origin(header, path)
     (channels,) = _numbers(header, "ElementNumberOfChannels", int, "1", 1, path)
     met = header["ElementType"]
     if met not in _MET_TO_DTYPE:

@@ -6,13 +6,17 @@ library is meaningful.
 """
 
 import heapq
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import stdtr
 
 from lvmesh import geometry
 from lvmesh.isosurface import IsosurfaceError, SurfaceMesh
+from lvmesh.register import (DisplacementField, FfdTransform, RegistrationConfig,
+                             RegistrationError, _normalize_pair, make_lattice)
 from lvmesh.tetmesh import TetMesh
+from lvmesh.volume import ImageVolume, sample_trilinear, sample_trilinear_with_gradient
 
 
 def point_triangle_distance(p, a, b, c):
@@ -440,3 +444,169 @@ def write_ply(mesh: SurfaceMesh, path: str) -> None:
             fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
         for a, b, c in t:
             fh.write(f"3 {a} {b} {c}\n")
+
+
+# ---------------------------------------------------------------------------
+# FFD kernels as first written: 64 fancy-indexed gathers and 64 three-array
+# ``np.add.at`` scatters per term.  ``register.evaluate_ffd``,
+# ``bending_energy``, ``register_ffd`` and ``to_dense`` must match them bit
+# for bit.
+
+
+def _bspline_basis(t: np.ndarray):
+    t2, t3 = t * t, t * t * t
+    return (
+        (1 - 3 * t + 3 * t2 - t3) / 6.0,
+        (4 - 6 * t2 + 3 * t3) / 6.0,
+        (1 + 3 * t + 3 * t2 - 3 * t3) / 6.0,
+        t3 / 6.0,
+    )
+
+
+def _bspline_basis_d1(t: np.ndarray):
+    t2 = t * t
+    return (
+        -((1 - t) ** 2) / 2.0,
+        (3 * t2 - 4 * t) / 2.0,
+        (-3 * t2 + 2 * t + 1) / 2.0,
+        t2 / 2.0,
+    )
+
+
+def _bspline_basis_d2(t: np.ndarray):
+    return (1 - t, 3 * t - 2, 1 - 3 * t, t)
+
+
+def _lattice_coords(ffd: FfdTransform, pts: np.ndarray):
+    e = (pts - np.asarray(ffd.lattice_origin)) / np.asarray(ffd.lattice_spacing)
+    ncx, ncy, ncz = ffd.lattice_dims
+    hi = np.array([ncx, ncy, ncz], dtype=np.float64) - 3.0
+    e = np.clip(e, 1.0, hi - 1e-9)
+    j = np.floor(e).astype(np.intp)
+    return j, e - j
+
+
+def evaluate_ffd(ffd: FfdTransform, pts: np.ndarray) -> np.ndarray:
+    """Displacement (mm) of the B-spline transform at physical points (N, 3)."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+    j, t = _lattice_coords(ffd, pts)
+    bx = _bspline_basis(t[:, 0])
+    by = _bspline_basis(t[:, 1])
+    bz = _bspline_basis(t[:, 2])
+    out = np.zeros((pts.shape[0], 3))
+    for lz in range(4):
+        iz = j[:, 2] - 1 + lz
+        for ly in range(4):
+            iy = j[:, 1] - 1 + ly
+            wzy = bz[lz] * by[ly]
+            for lx in range(4):
+                ix = j[:, 0] - 1 + lx
+                w = wzy * bx[lx]
+                out += w[:, None] * ffd.coeffs[iz, iy, ix]
+    return out
+
+
+def bending_energy(ffd: FfdTransform, pts: np.ndarray):
+    """Mean squared second derivatives of the transform at sample points.
+
+    Returns (energy, gradient w.r.t. coeffs).  Vanishes for globally affine
+    transforms.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+    j, t = _lattice_coords(ffd, pts)
+    b0 = (_bspline_basis(t[:, 0]), _bspline_basis(t[:, 1]), _bspline_basis(t[:, 2]))
+    b1 = (_bspline_basis_d1(t[:, 0]), _bspline_basis_d1(t[:, 1]), _bspline_basis_d1(t[:, 2]))
+    b2 = (_bspline_basis_d2(t[:, 0]), _bspline_basis_d2(t[:, 1]), _bspline_basis_d2(t[:, 2]))
+    scale = [1.0 / d for d in ffd.lattice_spacing]
+
+    n = pts.shape[0]
+    energy = 0.0
+    grad = np.zeros_like(ffd.coeffs)
+    pairs = [(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (0, 1, 2.0), (0, 2, 2.0), (1, 2, 2.0)]
+    for a, b, mult in pairs:
+        order = [0, 0, 0]
+        order[a] += 1
+        order[b] += 1
+        tabs = [(b0, b1, b2)[order[axis]][axis] for axis in range(3)]
+        s = scale[a] * scale[b]
+        # accumulate second derivative vector at each sample point
+        d2 = np.zeros((n, 3))
+        for lz in range(4):
+            iz = j[:, 2] - 1 + lz
+            for ly in range(4):
+                iy = j[:, 1] - 1 + ly
+                wzy = tabs[2][lz] * tabs[1][ly]
+                for lx in range(4):
+                    ix = j[:, 0] - 1 + lx
+                    w = wzy * tabs[0][lx]
+                    d2 += w[:, None] * ffd.coeffs[iz, iy, ix]
+        d2 *= s
+        energy += mult * float(np.mean(np.sum(d2 * d2, axis=1)))
+        coef = (mult * 2.0 / n) * s
+        for lz in range(4):
+            iz = j[:, 2] - 1 + lz
+            for ly in range(4):
+                iy = j[:, 1] - 1 + ly
+                wzy = tabs[2][lz] * tabs[1][ly]
+                for lx in range(4):
+                    ix = j[:, 0] - 1 + lx
+                    w = (wzy * tabs[0][lx])[:, None] * d2 * coef
+                    np.add.at(grad, (iz, iy, ix), w)
+    return energy, grad
+
+
+def register_ffd(fixed: ImageVolume, moving: ImageVolume, config: RegistrationConfig | None = None) -> FfdTransform:
+    """Stochastic decaying-step optimization of MSE + bending energy."""
+    config = config or RegistrationConfig(backend="ffd")
+    if not fixed.same_grid(moving):
+        raise RegistrationError("fixed and moving grids differ")
+    nfixed, nmoving = _normalize_pair(fixed, moving, config.smooth_sigma_vox)
+    ffd = make_lattice(fixed, config.ffd_control_spacing_vox)
+    coeffs = ffd.coeffs.copy()
+    rng = np.random.default_rng(config.seed)
+    nx, ny, nz = fixed.dims
+    lo = np.asarray(fixed.origin)
+    hi = lo + (np.array([nx, ny, nz]) - 1) * np.asarray(fixed.spacing)
+
+    for it in range(config.ffd_iterations):
+        pts = rng.uniform(lo, hi, size=(config.ffd_samples, 3))
+        cur = replace(ffd, coeffs=coeffs)
+        disp = evaluate_ffd(cur, pts)
+        warped, grads = sample_trilinear_with_gradient(nmoving, pts + disp)
+        fvals = sample_trilinear(nfixed, pts)
+        r = warped - fvals
+        if not np.all(np.isfinite(r)):
+            raise RegistrationError(f"ffd optimization diverged at iteration {it}")
+        # dMSE/dcoeff: scatter residual * image gradient through the basis
+        j, t = _lattice_coords(cur, pts)
+        bx = _bspline_basis(t[:, 0])
+        by = _bspline_basis(t[:, 1])
+        bz = _bspline_basis(t[:, 2])
+        g = np.zeros_like(coeffs)
+        contrib = (2.0 / config.ffd_samples) * r[:, None] * grads
+        for lz in range(4):
+            iz = j[:, 2] - 1 + lz
+            for ly in range(4):
+                iy = j[:, 1] - 1 + ly
+                wzy = bz[lz] * by[ly]
+                for lx in range(4):
+                    ix = j[:, 0] - 1 + lx
+                    w = (wzy * bx[lx])[:, None] * contrib
+                    np.add.at(g, (iz, iy, ix), w)
+        if config.ffd_bending_weight > 0:
+            _, gb = bending_energy(cur, pts)
+            g += config.ffd_bending_weight * gb
+        gmax = np.abs(g).max()
+        if gmax > 0:
+            step = config.ffd_a / (it + 1 + config.ffd_A) ** config.ffd_alpha
+            coeffs = coeffs - step * g / gmax
+    return replace(ffd, coeffs=coeffs)
+
+
+def to_dense(ffd: FfdTransform) -> DisplacementField:
+    """Evaluate the B-spline at every fixed-grid voxel center."""
+    nx, ny, nz = ffd.grid_dims
+    carrier = ImageVolume(np.zeros((nz, ny, nx)), ffd.grid_spacing, ffd.grid_origin)
+    pts = carrier.voxel_centers().reshape(-1, 3)
+    u = evaluate_ffd(ffd, pts).reshape(nz, ny, nx, 3)
+    return DisplacementField(u, ffd.grid_spacing, ffd.grid_origin)

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles
 from lvmesh import register
@@ -34,6 +36,27 @@ def _random_pair(rng, shape=(6, 6, 6)):
 
 def test_lambda_default_is_1e_minus_3():
     assert RegistrationConfig().lam == pytest.approx(1e-3)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("ffd_a", 0.0),
+    ("ffd_a", -5.0),  # would run gradient ascent
+    ("ffd_a", float("nan")),
+    ("ffd_A", -1.0),  # zero divisor at the first step
+    ("ffd_A", -1.5),  # complex step
+    ("ffd_A", float("nan")),
+    ("ffd_alpha", -0.1),
+    ("ffd_alpha", float("nan")),
+    ("seed", -1),
+])
+def test_config_rejects_bad_ffd_schedule_and_seed(name, value):
+    with pytest.raises(RegistrationError, match=rf"^{name} must be"):
+        RegistrationConfig(backend="ffd", **{name: value})
+
+
+def test_config_accepts_schedule_bounds():
+    cfg = RegistrationConfig(backend="ffd", ffd_a=1e-9, ffd_A=0.0, ffd_alpha=0.0, seed=0)
+    assert (cfg.ffd_a, cfg.ffd_A, cfg.ffd_alpha, cfg.seed) == (1e-9, 0.0, 0.0, 0)
 
 
 def test_loss_matches_bruteforce_oracle():
@@ -222,6 +245,109 @@ def test_ffd_bending_gradient_finite_differences():
         em, _ = bending_energy(dataclasses.replace(ffd, coeffs=cm), pts)
         fd = (ep - em) / (2 * h)
         assert abs(fd - g[idx]) < 1e-5 * max(1.0, abs(fd))
+
+
+# FFD kernels against the loop implementations in _oracles, byte for byte:
+# (grid dims (nx, ny, nz), spacing, origin, control spacing in voxels)
+FFD_LATTICES = [
+    ((12, 12, 12), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), 4.0),
+    ((16, 16, 16), (0.8, 1.1, 1.7), (-4.0, 2.5, 7.0), 8.0),
+    ((9, 14, 11), (0.7, 1.3, 2.1), (3.0, -5.0, 1.5), 3.0),
+    ((20, 13, 10), (1.0, 1.0, 1.5), (1.0, 2.0, -3.0), 4.0),
+]
+
+
+def _ffd_lattice(dims, spacing, origin, control):
+    return make_lattice(ImageVolume(np.zeros(dims[::-1]), spacing, origin), control)
+
+
+def _ffd_points(rng, ffd, n, margin=4.0):
+    """Uniform points over the image box grown by ``margin`` mm, so some are
+    clamped to the lattice."""
+    lo = np.asarray(ffd.grid_origin) - margin
+    hi = (np.asarray(ffd.grid_origin) + (np.asarray(ffd.grid_dims) - 1)
+          * np.asarray(ffd.grid_spacing) + margin)
+    return rng.uniform(lo, hi, size=(n, 3))
+
+
+def _n_clamped(ffd, pts):
+    """Points below the image origin on some axis: their lattice coordinate
+    is under 1, which the library clamps."""
+    return int((pts < np.asarray(ffd.grid_origin)).any(axis=1).sum())
+
+
+def _assert_bitwise(got, ref):
+    assert np.asarray(got, dtype=np.float64).tobytes() == np.asarray(ref, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3])
+@pytest.mark.parametrize("lattice", FFD_LATTICES)
+def test_ffd_kernels_match_oracle_bitwise(lattice, scale):
+    rng = np.random.default_rng(11)
+    ffd = _ffd_lattice(*lattice)
+    ffd = dataclasses.replace(ffd, coeffs=scale * rng.standard_normal(ffd.coeffs.shape))
+    clamped = 0
+    for n in (1, 7, 2048):
+        pts = _ffd_points(rng, ffd, n)
+        _assert_bitwise(evaluate_ffd(ffd, pts), _oracles.evaluate_ffd(ffd, pts))
+        e, g = bending_energy(ffd, pts)
+        e_ref, g_ref = _oracles.bending_energy(ffd, pts)
+        _assert_bitwise(e, e_ref)
+        _assert_bitwise(g, g_ref)
+        clamped += _n_clamped(ffd, pts)
+    assert 0 < clamped < 2056
+    _assert_bitwise(to_dense(ffd).u, _oracles.to_dense(ffd).u)
+
+
+@pytest.mark.parametrize("bending", [0.0, 0.01])
+@pytest.mark.parametrize("samples", [1, 2048])
+def test_register_ffd_matches_oracle_bitwise(bending, samples):
+    rng = np.random.default_rng(12)
+    shape = (10, 12, 14)
+    fixed = ImageVolume(rng.standard_normal(shape), (1.0, 1.2, 0.9), (1.0, -2.0, 3.0))
+    moving = ImageVolume(rng.standard_normal(shape), (1.0, 1.2, 0.9), (1.0, -2.0, 3.0))
+    cfg = RegistrationConfig(backend="ffd", ffd_iterations=4, ffd_samples=samples,
+                             ffd_bending_weight=bending, ffd_control_spacing_vox=4.0, seed=5)
+    got = register_ffd(fixed, moving, cfg)
+    ref = _oracles.register_ffd(fixed, moving, cfg)
+    assert np.abs(ref.coeffs).max() > 0
+    _assert_bitwise(got.coeffs, ref.coeffs)
+    _assert_bitwise(to_dense(got).u, _oracles.to_dense(ref).u)
+
+
+_LATTICE_CASES = st.tuples(
+    st.tuples(*[st.integers(4, 14)] * 3),
+    st.tuples(*[st.floats(0.5, 2.5)] * 3),
+    st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+    st.sampled_from([2.5, 3.0, 4.0, 5.5, 8.0]),
+)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_LATTICE_CASES, st.integers(1, 64), st.floats(-6.0, 3.0), st.integers(0, 2**32 - 1))
+def test_ffd_kernels_match_oracle_on_random_lattices(lattice, n, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    ffd = _ffd_lattice(*lattice)
+    ffd = dataclasses.replace(
+        ffd, coeffs=10.0 ** log_scale * rng.standard_normal(ffd.coeffs.shape))
+    pts = _ffd_points(rng, ffd, n)
+    _assert_bitwise(evaluate_ffd(ffd, pts), _oracles.evaluate_ffd(ffd, pts))
+    e, g = bending_energy(ffd, pts)
+    e_ref, g_ref = _oracles.bending_energy(ffd, pts)
+    _assert_bitwise(e, e_ref)
+    _assert_bitwise(g, g_ref)
+
+    # coefficients sampled from an affine map bend nowhere
+    A = rng.uniform(-0.2, 0.2, size=(3, 3))
+    b = rng.uniform(-1.0, 1.0, size=3)
+    ncx, ncy, ncz = ffd.lattice_dims
+    axes = [ffd.lattice_origin[k] + np.arange(c) * ffd.lattice_spacing[k]
+            for k, c in enumerate((ncx, ncy, ncz))]
+    zz, yy, xx = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
+    affine = dataclasses.replace(ffd, coeffs=np.stack([xx, yy, zz], axis=-1) @ A.T + b)
+    e, g = bending_energy(affine, pts)
+    assert e < 1e-20
+    assert np.abs(g).max() < 1e-10
 
 
 def test_register_ffd_recovers_translation():

@@ -112,12 +112,31 @@ def test_mhd_big_endian_payload_rejected(tmp_path):
     ("ElementSpacing", "1 1 1 1"),
     ("Offset", "0 0"),
     ("Offset", "0 0 zero"),
+    ("Origin", "0 0"),
+    ("Position", "0 0 zero"),
+    ("Position", "5 6 7"),  # disagrees with the written Offset = 0 0 0
     ("NDims", "three"),
     ("ElementNumberOfChannels", "1.5"),
 ])
 def test_mhd_unsupported_or_malformed_key_rejected(tmp_path, key, value):
     with pytest.raises(VolumeError, match=key):
         read_mhd(_mhd_with(tmp_path, **{key: value}))
+
+
+@pytest.mark.parametrize("alias", ["Origin", "Position"])
+def test_mhd_origin_aliases_read_as_offset(tmp_path, alias):
+    path = tmp_path / "v.mhd"
+    write_mhd(ImageVolume(np.zeros((2, 3, 4), np.float32), (1, 1, 1), (5, 6, 7)), str(path))
+    path.write_text(path.read_text().replace("Offset =", f"{alias} ="))
+    assert tuple(read_mhd(str(path)).origin) == (5.0, 6.0, 7.0)
+
+
+def test_mhd_conflicting_origin_keys_name_both(tmp_path):
+    with pytest.raises(VolumeError, match="Offset = 0 0 0 and Origin = 0 0 1"):
+        read_mhd(_mhd_with(tmp_path, Origin="0 0 1"))
+    # equal numbers written differently agree
+    back = read_mhd(_mhd_with(tmp_path, Origin="0.0 0 0e0", Position="0 -0 0"))
+    assert tuple(back.origin) == (0.0, 0.0, 0.0)
 
 
 def test_mhd_default_valued_keys_accepted(tmp_path):
