@@ -24,6 +24,7 @@ __all__ = ["InteriorWeights", "WarpInfo", "LbwarpError", "compute_weights", "war
 
 _DENSE_SOLVE_LIMIT = 3000
 _RESIDUAL_TOL = 1e-10
+_MAX_RESIDUAL = 1e-8  # a warp whose relative residual exceeds this is rejected
 _MAX_ITER = 10_000
 
 
@@ -106,7 +107,8 @@ def warp(mesh_ed: TetMesh, weights: InteriorWeights, target_surface: SurfaceMesh
 
     ``target_surface`` must share vertex ids with the surface that generated
     ``mesh_ed`` (as produced by surface propagation).  Returns the warped
-    mesh (with quality attached) and solve diagnostics.
+    mesh (with quality attached) and solve diagnostics; raises when the
+    interior solve's relative residual exceeds 1e-8.
     """
     if len(target_surface.vertices) != len(mesh_ed.boundary_map):
         raise LbwarpError(
@@ -155,6 +157,8 @@ def warp(mesh_ed: TetMesh, weights: InteriorWeights, target_surface: SurfaceMesh
     residual = float(
         np.linalg.norm(A @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
     )
+    if residual > _MAX_RESIDUAL:
+        raise LbwarpError(f"interior solve residual {residual:.3e} exceeds tolerance")
     new_pos[interior] = x
     out = TetMesh(new_pos, mesh_ed.tets.copy(), mesh_ed.boundary_map.copy(),
                   target_surface.frame_id)

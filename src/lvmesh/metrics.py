@@ -20,8 +20,6 @@ __all__ = [
     "dice",
     "voxelize",
     "surface_distances",
-    "mad",
-    "hausdorff",
     "node_distance",
     "ttest",
 ]
@@ -68,16 +66,6 @@ def surface_distances(a: SurfaceMesh, b: SurfaceMesh) -> tuple[float, float]:
     d_ba = geometry.points_to_surface_distance(b.vertices, a.vertices, a.triangles)
     mad_mm = 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
     return mad_mm, float(max(d_ab.max(), d_ba.max()))
-
-
-def mad(a: SurfaceMesh, b: SurfaceMesh) -> float:
-    """Symmetric mean absolute surface distance (vertex-to-triangle, exact)."""
-    return surface_distances(a, b)[0]
-
-
-def hausdorff(a: SurfaceMesh, b: SurfaceMesh) -> float:
-    """Symmetric Hausdorff distance over mesh vertices vs. surfaces."""
-    return surface_distances(a, b)[1]
 
 
 def node_distance(a, b):

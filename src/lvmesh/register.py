@@ -77,10 +77,10 @@ class RegistrationConfig:
 
     backend: str = "dense"  # dense | ffd
     lam: float = 1e-3  # smoothness weight in the dense loss
-    iterations: int = 100  # dense: sweeps per pyramid level; ffd: total (500)
+    iterations: int = 100  # dense: sweeps per pyramid level
     pyramid_levels: int = 3
     step_size: float = 0.4  # dense Adam step, mm
-    ffd_iterations: int = 500
+    ffd_iterations: int = 500  # ffd: total iterations
     ffd_samples: int = 2048
     ffd_a: float = 5.0  # step schedule a / (t + 1 + A)^alpha, mm
     ffd_A: float = 20.0
@@ -499,25 +499,28 @@ def to_dense(ffd: FfdTransform) -> DisplacementField:
 # sequences, composition, warping
 
 
-def register_sequence(frames, config: RegistrationConfig | None = None, pairing: str = "fixed_reference"):
-    """Fields for (ED, ED+t) pairs, or (ED+t-1, ED+t) when sequential."""
+def register_sequence(frames, config: RegistrationConfig | None = None,
+                      pairing: str = "fixed_reference", history: list | None = None):
+    """Fields for (ED, ED+t) pairs, or (ED+t-1, ED+t) when sequential.
+
+    ``history``, when given, gains one list per pair, which the dense
+    backend fills as ``register_dense`` does; the FFD backend leaves it empty.
+    """
     config = config or RegistrationConfig()
     if pairing not in ("fixed_reference", "sequential"):
         raise RegistrationError(f"unknown pairing {pairing!r}")
 
     def _run(fixed, moving, seed_offset):
         cfg = replace(config, seed=config.seed + seed_offset)
+        trace = None
+        if history is not None:
+            history.append(trace := [])
         if cfg.backend == "ffd":
             return to_dense(register_ffd(fixed, moving, cfg))
-        return register_dense(fixed, moving, cfg)
+        return register_dense(fixed, moving, cfg, trace)
 
-    fields = []
-    for t in range(1, frames.n_frames):
-        if pairing == "fixed_reference":
-            fields.append(_run(frames[0], frames[t], t))
-        else:
-            fields.append(_run(frames[t - 1], frames[t], t))
-    return fields
+    return [_run(frames[0] if pairing == "fixed_reference" else frames[t - 1], frames[t], t)
+            for t in range(1, frames.n_frames)]
 
 
 def compose_fields(f_ab: DisplacementField, f_bc: DisplacementField) -> DisplacementField:
