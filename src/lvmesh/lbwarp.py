@@ -55,13 +55,12 @@ class WarpInfo:
     residual: float
 
 
-def _mesh_edges(tets: np.ndarray) -> np.ndarray:
-    pairs = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            pairs.append(tets[:, [i, j]])
-    e = np.sort(np.concatenate(pairs), axis=1)
-    return np.unique(e, axis=0)
+def _mesh_edges(tets: np.ndarray, n: int) -> np.ndarray:
+    """Unique (a, b) edges, a < b, in lexicographic order; ``n`` bounds the ids."""
+    e = np.sort(np.concatenate([tets[:, [i, j]] for i in range(4) for j in range(i + 1, 4)]),
+                axis=1)
+    keys = np.unique(e[:, 0] * n + e[:, 1])
+    return np.stack([keys // n, keys % n], axis=1)
 
 
 def compute_weights(mesh_ed: TetMesh) -> InteriorWeights:
@@ -72,26 +71,20 @@ def compute_weights(mesh_ed: TetMesh) -> InteriorWeights:
     is_fixed[fixed] = True
     interior = np.nonzero(~is_fixed)[0]
 
-    edges = _mesh_edges(mesh_ed.tets)
+    edges = _mesh_edges(mesh_ed.tets, n)
     d = np.linalg.norm(
         mesh_ed.vertices[edges[:, 0]] - mesh_ed.vertices[edges[:, 1]], axis=1
     )
     if np.any(d <= 0):
         raise LbwarpError("zero-length edge in the ED mesh")
 
-    rows, cols, vals = [], [], []
     interior_index = -np.ones(n, dtype=np.int64)
     interior_index[interior] = np.arange(len(interior))
-    for a, b, dist in zip(edges[:, 0], edges[:, 1], d):
-        inv = 1.0 / dist
-        if not is_fixed[a]:
-            rows.append(interior_index[a])
-            cols.append(b)
-            vals.append(inv)
-        if not is_fixed[b]:
-            rows.append(interior_index[b])
-            cols.append(a)
-            vals.append(inv)
+    # per edge (a, b): entry (a, b) if a is interior, then (b, a) if b is
+    keep = ~is_fixed[edges].ravel()
+    rows = interior_index[edges].ravel()[keep]
+    cols = edges[:, ::-1].ravel()[keep]
+    vals = np.repeat(1.0 / d, 2)[keep]
     W = sp.csr_matrix(
         (vals, (rows, cols)), shape=(len(interior), n), dtype=np.float64
     )

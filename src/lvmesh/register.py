@@ -77,7 +77,7 @@ class RegistrationConfig:
 
     backend: str = "dense"  # dense | ffd
     lam: float = 1e-3  # smoothness weight in the dense loss
-    iterations: int = 100  # dense: sweeps per pyramid level
+    iterations: int = 60  # dense: sweeps per pyramid level
     pyramid_levels: int = 3
     step_size: float = 0.4  # dense Adam step, mm
     ffd_iterations: int = 500  # ffd: total iterations
@@ -110,7 +110,11 @@ class RegistrationConfig:
 
 
 def _laplacian(u: np.ndarray) -> np.ndarray:
-    """7-point Laplacian stencil with replicate (Neumann) boundaries."""
+    """7-point Laplacian stencil with replicate (Neumann) boundaries.
+
+    Per axis the operator is -D^T D with D the forward difference, so it is
+    self-adjoint: ``grad_dense`` applies it to its own output.
+    """
     pad = [(1, 1)] * 3 + [(0, 0)] * (u.ndim - 3)
     up = np.pad(u, pad, mode="edge")
     c = up[1:-1, 1:-1, 1:-1]
@@ -125,66 +129,22 @@ def _laplacian(u: np.ndarray) -> np.ndarray:
     )
 
 
-def _fold_edge(v: np.ndarray, axis: int) -> np.ndarray:
-    """Adjoint of width-1 replicate padding along one axis."""
-    sl = [slice(None)] * v.ndim
-    sl[axis] = slice(1, -1)
-    core = v[tuple(sl)].copy()
-    first = [slice(None)] * v.ndim
-    first[axis] = 0
-    last = [slice(None)] * v.ndim
-    last[axis] = v.shape[axis] - 1
-    lead = [slice(None)] * core.ndim
-    lead[axis] = 0
-    trail = [slice(None)] * core.ndim
-    trail[axis] = core.shape[axis] - 1
-    core[tuple(lead)] += v[tuple(first)]
-    core[tuple(trail)] += v[tuple(last)]
-    return core
-
-
-def _laplacian_adjoint(w: np.ndarray) -> np.ndarray:
-    """Transpose of ``_laplacian`` (replicate padding is not self-adjoint)."""
-    pad = [(2, 2)] * 3 + [(0, 0)] * (w.ndim - 3)
-    wz = np.pad(w, pad, mode="constant")
-    c = wz[1:-1, 1:-1, 1:-1]
-    t = (
-        wz[2:, 1:-1, 1:-1]
-        + wz[:-2, 1:-1, 1:-1]
-        + wz[1:-1, 2:, 1:-1]
-        + wz[1:-1, :-2, 1:-1]
-        + wz[1:-1, 1:-1, 2:]
-        + wz[1:-1, 1:-1, :-2]
-        - 6.0 * c
-    )
-    for axis in (0, 1, 2):
-        t = _fold_edge(t, axis)
-    return t
-
-
 def loss_dense(fixed: ImageVolume, moving: ImageVolume, u: np.ndarray, lam: float):
     """Eq-style dense loss: (total, similarity, smoothness).
 
     similarity = mean over fixed voxels of (fixed(x) - moving(x + u(x)))^2,
     smoothness = mean over voxels and components of (Laplacian u)^2.
     """
+    return grad_dense(fixed, moving, u, lam)[0]
+
+
+def grad_dense(fixed: ImageVolume, moving: ImageVolume, u: np.ndarray, lam: float):
+    """``loss_dense`` and its analytic gradient w.r.t. u: (loss_tuple, grad)."""
     if not fixed.same_grid(moving):
         raise RegistrationError("fixed and moving grids differ")
     u = np.asarray(u, dtype=np.float64)
     if u.shape != fixed.data.shape + (3,):
         raise RegistrationError(f"field shape {u.shape} does not match the fixed grid")
-    pts = fixed.voxel_centers() + u
-    warped = sample_trilinear(moving, pts)
-    r = warped - fixed.data.astype(np.float64)
-    sim = float(np.mean(r * r))
-    lap = _laplacian(u)
-    smooth = float(np.mean(lap * lap))
-    return sim + lam * smooth, sim, smooth
-
-
-def grad_dense(fixed: ImageVolume, moving: ImageVolume, u: np.ndarray, lam: float):
-    """Analytic gradient of ``loss_dense`` w.r.t. u; returns (loss_tuple, grad)."""
-    u = np.asarray(u, dtype=np.float64)
     pts = fixed.voxel_centers() + u
     warped, grads = sample_trilinear_with_gradient(moving, pts)
     r = warped - fixed.data.astype(np.float64)
@@ -193,7 +153,7 @@ def grad_dense(fixed: ImageVolume, moving: ImageVolume, u: np.ndarray, lam: floa
     g = (2.0 / n) * r[..., None] * grads
     lap = _laplacian(u)
     smooth = float(np.mean(lap * lap))
-    g += lam * (2.0 / lap.size) * _laplacian_adjoint(lap)
+    g += lam * (2.0 / lap.size) * _laplacian(lap)
     return (sim + lam * smooth, sim, smooth), g
 
 
@@ -220,7 +180,7 @@ def _upsample_field(u, coarse: ImageVolume, fine: ImageVolume) -> np.ndarray:
     return sample_trilinear(carrier, fine.voxel_centers())
 
 
-def _normalize_pair(fixed: ImageVolume, moving: ImageVolume, sigma_vox: float = 0.0):
+def _normalize_pair(fixed: ImageVolume, moving: ImageVolume, sigma_vox: float):
     """Joint [0, 1] rescale plus optional Gaussian prefilter (noise robustness)."""
     a = fixed.data.astype(np.float64)
     b = moving.data.astype(np.float64)
@@ -272,7 +232,7 @@ def register_dense(fixed: ImageVolume, moving: ImageVolume, config: Registration
     return DisplacementField(u, fixed.spacing, fixed.origin)
 
 
-def _adam_minimize(fx, mv, u, config: RegistrationConfig, level: int = 1, history: list | None = None):
+def _adam_minimize(fx, mv, u, config: RegistrationConfig, level: int, history: list | None):
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     m = np.zeros_like(u)
     v = np.zeros_like(u)

@@ -266,11 +266,6 @@ def write_mhd(vol: ImageVolume, path: str) -> None:
     np.ascontiguousarray(data.astype(dtype.newbyteorder("<"))).tofile(raw_path)
 
 
-def _continuous_index(vol: ImageVolume, points_mm: np.ndarray) -> np.ndarray:
-    p = np.atleast_2d(np.asarray(points_mm, dtype=np.float64))
-    return (p - np.asarray(vol.origin)) / np.asarray(vol.spacing)
-
-
 def sample_trilinear(vol: ImageVolume, points_mm: np.ndarray) -> np.ndarray:
     """Trilinear interpolation at physical points, clamped at the grid edge.
 
@@ -287,9 +282,12 @@ def sample_trilinear_with_gradient(vol: ImageVolume, points_mm: np.ndarray):
 
 
 def _trilinear(vol: ImageVolume, points_mm: np.ndarray, want_gradient: bool):
+    """One channel-last path: a scalar volume is sampled as one channel and
+    that axis is dropped from the outputs."""
     pts = np.asarray(points_mm, dtype=np.float64)
     out_shape = pts.shape[:-1]
-    ci = _continuous_index(vol, pts.reshape(-1, 3))  # (N, 3) in (x, y, z) order
+    # continuous (x, y, z) index of each point, (N, 3)
+    ci = (pts.reshape(-1, 3) - np.asarray(vol.origin)) / np.asarray(vol.spacing)
     nz, ny, nx = vol.data.shape[:3]
     dims = np.array([nx, ny, nz], dtype=np.float64)
 
@@ -300,15 +298,10 @@ def _trilinear(vol: ImageVolume, points_mm: np.ndarray, want_gradient: bool):
     frac = clamped - i0
     i1 = np.minimum(i0 + 1, (dims - 1).astype(np.intp))
 
-    data = vol.data
-    vector = data.ndim == 4
-    if vector:
-        nc = data.shape[3]
-        acc = np.zeros((ci.shape[0], nc))
-        grad = np.zeros((ci.shape[0], 3, nc)) if want_gradient else None
-    else:
-        acc = np.zeros(ci.shape[0])
-        grad = np.zeros((ci.shape[0], 3)) if want_gradient else None
+    tail = vol.data.shape[3:]  # () for a scalar volume
+    data = vol.data.reshape(vol.data.shape[:3] + (-1,))
+    acc = np.zeros((ci.shape[0], data.shape[3]))
+    grad = np.zeros((ci.shape[0], 3, data.shape[3])) if want_gradient else None
 
     fx, fy, fz = frac[:, 0], frac[:, 1], frac[:, 2]
     wx = (1.0 - fx, fx)
@@ -323,38 +316,18 @@ def _trilinear(vol: ImageVolume, points_mm: np.ndarray, want_gradient: bool):
                 ix = (i0[:, 0], i1[:, 0])[cx]
                 v = data[iz, iy, ix]
                 w = wx[cx] * wy[cy] * wz[cz]
-                if vector:
-                    acc += w[:, None] * v
-                else:
-                    acc += w * v
+                acc += w[:, None] * v
                 if want_gradient:
-                    gx = dwx[cx] * wy[cy] * wz[cz]
-                    gy = wx[cx] * dwx[cy] * wz[cz]
-                    gz = wx[cx] * wy[cy] * dwx[cz]
-                    if vector:
-                        grad[:, 0] += gx[:, None] * v
-                        grad[:, 1] += gy[:, None] * v
-                        grad[:, 2] += gz[:, None] * v
-                    else:
-                        grad[:, 0] += gx * v
-                        grad[:, 1] += gy * v
-                        grad[:, 2] += gz * v
+                    grad[:, 0] += (dwx[cx] * wy[cy] * wz[cz])[:, None] * v
+                    grad[:, 1] += (wx[cx] * dwx[cy] * wz[cz])[:, None] * v
+                    grad[:, 2] += (wx[cx] * wy[cy] * dwx[cz])[:, None] * v
 
-    if vector:
-        vals = acc.reshape(out_shape + (data.shape[3],))
-    else:
-        vals = acc.reshape(out_shape)
+    vals = acc.reshape(out_shape + tail)
     if not want_gradient:
         return vals, None
     # chain rule index -> mm, zeroed where the clamp is active
-    spacing = np.asarray(vol.spacing)
-    if vector:
-        grad *= inside[:, :, None] / spacing[None, :, None]
-        grads = grad.reshape(out_shape + (3, data.shape[3]))
-    else:
-        grad *= inside / spacing[None, :]
-        grads = grad.reshape(out_shape + (3,))
-    return vals, grads
+    grad *= inside[:, :, None] / np.asarray(vol.spacing)[None, :, None]
+    return vals, grad.reshape(out_shape + (3,) + tail)
 
 
 def resample_z(vol: ImageVolume, new_sz_mm: float):

@@ -9,10 +9,12 @@ import heapq
 from dataclasses import replace
 
 import numpy as np
+from scipy import sparse
 from scipy.special import stdtr
 
 from lvmesh import geometry
 from lvmesh.isosurface import IsosurfaceError, SurfaceMesh
+from lvmesh.lbwarp import InteriorWeights, LbwarpError
 from lvmesh.register import (DisplacementField, FfdTransform, RegistrationConfig,
                              RegistrationError, _normalize_pair, make_lattice)
 from lvmesh.tetmesh import TetMesh
@@ -610,3 +612,124 @@ def to_dense(ffd: FfdTransform) -> DisplacementField:
     pts = carrier.voxel_centers().reshape(-1, 3)
     u = evaluate_ffd(ffd, pts).reshape(nz, ny, nx, 3)
     return DisplacementField(u, ffd.grid_spacing, ffd.grid_origin)
+
+
+def _continuous_index(vol: ImageVolume, points_mm: np.ndarray) -> np.ndarray:
+    p = np.atleast_2d(np.asarray(points_mm, dtype=np.float64))
+    return (p - np.asarray(vol.origin)) / np.asarray(vol.spacing)
+
+
+def sample_trilinear_paths(vol: ImageVolume, points_mm: np.ndarray, want_gradient: bool):
+    """The former ``volume._trilinear``, verbatim: separate scalar and vector
+    branches for the values and for the gradient."""
+    pts = np.asarray(points_mm, dtype=np.float64)
+    out_shape = pts.shape[:-1]
+    ci = _continuous_index(vol, pts.reshape(-1, 3))  # (N, 3) in (x, y, z) order
+    nz, ny, nx = vol.data.shape[:3]
+    dims = np.array([nx, ny, nz], dtype=np.float64)
+
+    clamped = np.clip(ci, 0.0, dims - 1.0)
+    inside = (ci > 0.0) & (ci < dims - 1.0)  # derivative survives only off the clamp
+    i0 = np.floor(clamped).astype(np.intp)
+    i0 = np.minimum(i0, (dims - 2).astype(np.intp).clip(min=0))
+    frac = clamped - i0
+    i1 = np.minimum(i0 + 1, (dims - 1).astype(np.intp))
+
+    data = vol.data
+    vector = data.ndim == 4
+    if vector:
+        nc = data.shape[3]
+        acc = np.zeros((ci.shape[0], nc))
+        grad = np.zeros((ci.shape[0], 3, nc)) if want_gradient else None
+    else:
+        acc = np.zeros(ci.shape[0])
+        grad = np.zeros((ci.shape[0], 3)) if want_gradient else None
+
+    fx, fy, fz = frac[:, 0], frac[:, 1], frac[:, 2]
+    wx = (1.0 - fx, fx)
+    wy = (1.0 - fy, fy)
+    wz = (1.0 - fz, fz)
+    dwx = (-1.0, 1.0)
+    for cz in (0, 1):
+        iz = (i0[:, 2], i1[:, 2])[cz]
+        for cy in (0, 1):
+            iy = (i0[:, 1], i1[:, 1])[cy]
+            for cx in (0, 1):
+                ix = (i0[:, 0], i1[:, 0])[cx]
+                v = data[iz, iy, ix]
+                w = wx[cx] * wy[cy] * wz[cz]
+                if vector:
+                    acc += w[:, None] * v
+                else:
+                    acc += w * v
+                if want_gradient:
+                    gx = dwx[cx] * wy[cy] * wz[cz]
+                    gy = wx[cx] * dwx[cy] * wz[cz]
+                    gz = wx[cx] * wy[cy] * dwx[cz]
+                    if vector:
+                        grad[:, 0] += gx[:, None] * v
+                        grad[:, 1] += gy[:, None] * v
+                        grad[:, 2] += gz[:, None] * v
+                    else:
+                        grad[:, 0] += gx * v
+                        grad[:, 1] += gy * v
+                        grad[:, 2] += gz * v
+
+    if vector:
+        vals = acc.reshape(out_shape + (data.shape[3],))
+    else:
+        vals = acc.reshape(out_shape)
+    if not want_gradient:
+        return vals, None
+    # chain rule index -> mm, zeroed where the clamp is active
+    spacing = np.asarray(vol.spacing)
+    if vector:
+        grad *= inside[:, :, None] / spacing[None, :, None]
+        grads = grad.reshape(out_shape + (3, data.shape[3]))
+    else:
+        grad *= inside / spacing[None, :]
+        grads = grad.reshape(out_shape + (3,))
+    return vals, grads
+
+
+def compute_weights(mesh_ed: TetMesh) -> InteriorWeights:
+    """The former ``lbwarp.compute_weights``, verbatim: ``np.unique`` over
+    edge rows and one Python iteration per edge."""
+    n = len(mesh_ed.vertices)
+    fixed = np.unique(mesh_ed.boundary_map)
+    is_fixed = np.zeros(n, dtype=bool)
+    is_fixed[fixed] = True
+    interior = np.nonzero(~is_fixed)[0]
+
+    pairs = []
+    for i in range(4):
+        for j in range(i + 1, 4):
+            pairs.append(mesh_ed.tets[:, [i, j]])
+    edges = np.unique(np.sort(np.concatenate(pairs), axis=1), axis=0)
+    d = np.linalg.norm(
+        mesh_ed.vertices[edges[:, 0]] - mesh_ed.vertices[edges[:, 1]], axis=1
+    )
+    if np.any(d <= 0):
+        raise LbwarpError("zero-length edge in the ED mesh")
+
+    rows, cols, vals = [], [], []
+    interior_index = -np.ones(n, dtype=np.int64)
+    interior_index[interior] = np.arange(len(interior))
+    for a, b, dist in zip(edges[:, 0], edges[:, 1], d):
+        inv = 1.0 / dist
+        if not is_fixed[a]:
+            rows.append(interior_index[a])
+            cols.append(b)
+            vals.append(inv)
+        if not is_fixed[b]:
+            rows.append(interior_index[b])
+            cols.append(a)
+            vals.append(inv)
+    W = sparse.csr_matrix(
+        (vals, (rows, cols)), shape=(len(interior), n), dtype=np.float64
+    )
+    sums = np.asarray(W.sum(axis=1)).ravel()
+    if np.any(sums <= 0):
+        raise LbwarpError("isolated interior vertex (no incident edges)")
+    W = sparse.diags(1.0 / sums) @ W
+    return InteriorWeights(interior, fixed, W.tocsr())

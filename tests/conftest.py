@@ -3,10 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from lvmesh import isosurface, phantom, tetmesh  # noqa: E402
+
+# property tests run numpy kernels of uneven cost and keep no example database
+settings.register_profile("lvmesh", deadline=None, database=None)
+settings.load_profile("lvmesh")
 
 
 SMALL_SPEC = phantom.PhantomSpec(

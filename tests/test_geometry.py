@@ -124,7 +124,7 @@ def test_points_to_surface_distance_matches_bruteforce():
             assert geometry.points_to_surface_distance(np.empty((0, 3)), v, t).shape == (0,)
 
 
-@settings(max_examples=30, deadline=None, database=None)
+@settings(max_examples=30)
 @given(st.integers(0, 2**32 - 1))
 def test_points_to_surface_distance_matches_bruteforce_on_random_soups(seed):
     rng = np.random.default_rng(seed)
@@ -151,7 +151,7 @@ def test_points_inside_surface_matches_ray_oracle_on_icosphere():
     assert crossings.sum() > SMALL_BLOCKS["_PAIR_BLOCK"]
 
 
-@settings(max_examples=10, deadline=None, database=None)
+@settings(max_examples=10)
 @given(st.integers(0, 2**32 - 1))
 def test_points_inside_surface_matches_ray_oracle_on_random_blobs(seed):
     rng = np.random.default_rng(seed)

@@ -205,7 +205,7 @@ def test_decimate_matches_oracle_at_or_above_vertex_count(factor):
     assert np.array_equal(out.triangles, surf.triangles)
 
 
-@settings(max_examples=20, deadline=None, database=None)
+@settings(max_examples=20)
 @given(st.integers(0, 2**32 - 1))
 def test_decimate_keeps_topology_and_matches_oracle_on_random_blobs(seed):
     mask = random_blob(np.random.default_rng(seed), (8, 8, 8))

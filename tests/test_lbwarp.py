@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _oracles
 import lvmesh.lbwarp as lbwarp
 from lvmesh.isosurface import SurfaceMesh
 from lvmesh.lbwarp import LbwarpError, compute_weights, warp
@@ -112,3 +115,30 @@ def test_quality_attached(ed_surface, ed_tetmesh):
     out, _ = warp(ed_tetmesh, w, ed_surface)
     assert out.quality is not None
     assert len(out.quality.scaled_jacobian) == len(out.tets)
+
+
+def _assert_weights_bitwise(mesh):
+    got, ref = compute_weights(mesh), _oracles.compute_weights(mesh)
+    assert got.interior_ids.tobytes() == ref.interior_ids.tobytes()
+    assert got.fixed_ids.tobytes() == ref.fixed_ids.tobytes()
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got.matrix, name), getattr(ref.matrix, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_weights_match_oracle_bitwise(ed_tetmesh):
+    _assert_weights_bitwise(ed_tetmesh)
+    _assert_weights_bitwise(_two_tet_mesh())
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32 - 1))
+def test_weights_match_oracle_bitwise_on_random_meshes(seed):
+    # random tets over a few vertices share edges; every vertex is in a tet
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 30))
+    tets = np.array([rng.choice(n, 4, replace=False) for _ in range(rng.integers(1, 3 * n))])
+    tets = np.concatenate([tets, [[v, *rng.choice(np.delete(np.arange(n), v), 3, replace=False)]
+                                  for v in range(n)]])
+    boundary = rng.choice(n, int(rng.integers(1, n)), replace=True)
+    _assert_weights_bitwise(TetMesh(rng.standard_normal((n, 3)), tets, boundary))

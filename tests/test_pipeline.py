@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from lvmesh import pipeline
 from lvmesh.pipeline import (DEFAULT_CONFIG, PipelineError, load_config, run, report,
                              validate_config)
+from lvmesh.register import RegistrationConfig
 
 FAST_CONFIG = {
     "seed": 11,
@@ -96,7 +98,14 @@ _OVERRIDES = st.fixed_dictionaries({}, optional={
 })
 
 
-@settings(max_examples=100, deadline=None, database=None)
+def test_default_register_section_is_registration_config_defaults():
+    fields = {f.name: f.default for f in dataclasses.fields(RegistrationConfig)}
+    for key, value in DEFAULT_CONFIG["register"].items():
+        if key != "pairings":
+            assert value == fields[key], key
+
+
+@settings(max_examples=100)
 @given(_OVERRIDES)
 def test_validate_is_idempotent_and_keeps_default_types(overrides):
     cfg = validate_config(overrides)

@@ -98,6 +98,53 @@ def test_gradient_matches_central_differences():
     assert worst < 1e-4
 
 
+@settings(max_examples=60)
+@given(st.tuples(*[st.integers(1, 7)] * 3), st.sampled_from([(), (3,)]),
+       st.integers(0, 2**32 - 1))
+def test_laplacian_is_self_adjoint(shape, channels, seed):
+    # <L u, w> = <u, L w>, singleton and two-voxel axes included
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(shape + channels)
+    w = rng.standard_normal(shape + channels)
+    lu, lw = register._laplacian(u), register._laplacian(w)
+    # relative to |u| |w| times the operator's norm bound, 12
+    bound = 1e-13 * 12.0 * np.linalg.norm(u) * np.linalg.norm(w)
+    assert abs(np.sum(lu * w) - np.sum(u * lw)) <= bound
+
+
+def test_gradient_matches_central_differences_on_the_boundary():
+    # lam = 1 weights the smoothness term up, whose boundary rows differ
+    # most from the interior; probes on faces, edges and corners
+    rng = np.random.default_rng(5)
+    fixed, moving, u = _random_pair(rng)
+    lam = 1.0
+    _, g = grad_dense(fixed, moving, u, lam)
+    h = 1e-6
+    probes = [(0, 0, 0), (5, 5, 5), (0, 5, 0), (5, 0, 5),  # corners
+              (0, 0, 3), (2, 5, 5), (5, 3, 0),  # edges
+              (0, 2, 3), (3, 5, 1), (4, 2, 5),  # faces
+              (2, 3, 3)]
+    for z, y, x in probes:
+        for c in range(3):
+            up = u.copy()
+            up[z, y, x, c] += h
+            um = u.copy()
+            um[z, y, x, c] -= h
+            fd = (loss_dense(fixed, moving, up, lam)[0]
+                  - loss_dense(fixed, moving, um, lam)[0]) / (2 * h)
+            assert abs(fd - g[z, y, x, c]) <= 1e-6 * max(abs(fd), 1.0), (z, y, x, c)
+
+
+def test_grad_dense_rejects_other_grid_and_field_shape():
+    rng = np.random.default_rng(6)
+    fixed, moving, u = _random_pair(rng)
+    coarse = ImageVolume(moving.data, (2.0, 2.0, 2.0))
+    with pytest.raises(RegistrationError, match="grids differ"):
+        grad_dense(fixed, coarse, u, 1e-3)
+    with pytest.raises(RegistrationError, match="field shape"):
+        grad_dense(fixed, moving, u[:-1], 1e-3)
+
+
 def test_register_dense_recovers_small_translation():
     rng = np.random.default_rng(3)
     base = np.zeros((24, 24, 24))
@@ -323,7 +370,7 @@ _LATTICE_CASES = st.tuples(
 )
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(_LATTICE_CASES, st.integers(1, 64), st.floats(-6.0, 3.0), st.integers(0, 2**32 - 1))
 def test_ffd_kernels_match_oracle_on_random_lattices(lattice, n, log_scale, seed):
     rng = np.random.default_rng(seed)

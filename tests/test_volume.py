@@ -1,7 +1,13 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles
+from lvmesh import volume
 from lvmesh.volume import (
     ImageVolume,
     LabelVolume,
@@ -186,6 +192,63 @@ def test_trilinear_clamps_outside_with_zero_gradient():
     vals, grad = sample_trilinear_with_gradient(vol, far)
     assert vals[0] == 26.0  # corner value
     assert np.all(grad == 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8])
+@pytest.mark.parametrize("channels", [(), (1,), (3,)])
+@pytest.mark.parametrize("shape", [(5, 6, 7), (1, 4, 5), (3, 1, 2), (1, 1, 1)])
+@pytest.mark.parametrize("points_shape", [(3,), (40, 3), (4, 5, 3)])
+def test_trilinear_matches_branching_oracle_bitwise(dtype, channels, shape, points_shape):
+    rng = np.random.default_rng(8)
+    data = rng.uniform(0.0, 255.0, shape + channels).astype(dtype)
+    vol = ImageVolume(data, (0.7, 1.3, 2.1), (-1.0, 2.0, 0.5))
+    lo = np.asarray(vol.origin)
+    hi = lo + (np.asarray(vol.dims) - 1) * np.asarray(vol.spacing)
+    # points inside, on the edge and far outside, where the clamp is active
+    pts = rng.uniform(lo - 3.0, hi + 3.0, size=points_shape)
+    flat = pts.reshape(-1, 3)
+    flat[::3] = np.clip(flat[::3], lo, hi)
+    flat[1::5] = hi
+    for want_gradient in (False, True):
+        got = volume._trilinear(vol, pts, want_gradient)
+        ref = _oracles.sample_trilinear_paths(vol, pts, want_gradient)
+        assert got[0].shape == ref[0].shape and got[0].tobytes() == ref[0].tobytes()
+        if want_gradient:
+            assert got[1].shape == ref[1].shape and got[1].tobytes() == ref[1].tobytes()
+        else:
+            assert got[1] is None and ref[1] is None
+
+
+_MHD_DTYPES = st.sampled_from([np.uint8, np.int16, np.float32])
+_COORDS = st.tuples(*[st.one_of(st.just(-0.0), st.floats(-1e6, 1e6))] * 3)
+_SPACINGS = st.tuples(*[st.floats(1e-6, 1e6)] * 3)
+
+
+@settings(max_examples=60)
+@given(st.tuples(*[st.integers(1, 5)] * 3), st.sampled_from([0, 1, 3]),
+       _MHD_DTYPES, _SPACINGS, _COORDS, st.data())
+def test_mhd_roundtrip_is_exact(shape, channels, dtype, spacing, origin, data):
+    # channels 0 is a LabelVolume, 1 a scalar image, 3 a vector image
+    nz, ny, nx = shape
+    if channels == 0:
+        raw = data.draw(st.binary(min_size=nx * ny * nz, max_size=nx * ny * nz))
+        arr = np.frombuffer(raw, dtype=np.uint8).reshape(nz, ny, nx).astype(np.int32)
+        vol = LabelVolume(arr, spacing, origin)
+    else:
+        n = nx * ny * nz * channels * np.dtype(dtype).itemsize
+        raw = data.draw(st.binary(min_size=n, max_size=n))
+        arr = np.frombuffer(raw, dtype=dtype).reshape(shape + ((channels,) if channels > 1 else ()))
+        vol = ImageVolume(arr, spacing, origin)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "vol.mhd")
+        write_mhd(vol, path)
+        back = read_mhd(path, labels=channels == 0)
+    assert type(back) is type(vol)
+    assert back.data.dtype == vol.data.dtype and back.data.shape == vol.data.shape
+    assert back.data.tobytes() == vol.data.tobytes()
+    # bitwise, so that -0.0 does not come back as 0.0
+    assert np.array(back.spacing).tobytes() == np.array(spacing, dtype=np.float64).tobytes()
+    assert np.array(back.origin).tobytes() == np.array(origin, dtype=np.float64).tobytes()
 
 
 def test_resample_z_identity():
