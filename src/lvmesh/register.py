@@ -367,24 +367,36 @@ def evaluate_ffd(ffd: FfdTransform, pts: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.T)
 
 
+def _sample_support(ffd: FfdTransform, coeffs: np.ndarray, pts: np.ndarray):
+    """What the FFD data term and bending energy share at sample points:
+    fractional lattice coords t, the three per-axis cubic bases, the
+    (64, 3, n) support indices and the coefficient values at them."""
+    j, t = _lattice_coords(ffd, pts)
+    b0 = (_bspline_basis(t[:, 0]), _bspline_basis(t[:, 1]), _bspline_basis(t[:, 2]))
+    index = _support(ffd, j)
+    return t, b0, index, coeffs.reshape(-1).take(index)
+
+
 def bending_energy(ffd: FfdTransform, pts: np.ndarray):
     """Mean squared second derivatives of the transform at sample points.
 
     Returns (energy, gradient w.r.t. coeffs).  Vanishes for globally affine
-    transforms.  The 64 support values of each point are gathered once for
-    all six derivative pairs, and each pair's gradient is one scatter whose
-    sums run in the same order as a loop over offsets, then points.
+    transforms.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    j, t = _lattice_coords(ffd, pts)
-    b0 = (_bspline_basis(t[:, 0]), _bspline_basis(t[:, 1]), _bspline_basis(t[:, 2]))
+    return _bending(ffd, *_sample_support(ffd, ffd.coeffs, pts))
+
+
+def _bending(ffd: FfdTransform, t, b0, index, values):
+    """``bending_energy`` from shared sample arrays.  The 64 support values
+    of each point serve all six derivative pairs, and each pair's gradient
+    is one scatter whose sums run in the same order as a loop over offsets,
+    then points."""
     b1 = (_bspline_basis_d1(t[:, 0]), _bspline_basis_d1(t[:, 1]), _bspline_basis_d1(t[:, 2]))
     b2 = (_bspline_basis_d2(t[:, 0]), _bspline_basis_d2(t[:, 1]), _bspline_basis_d2(t[:, 2]))
     scale = [1.0 / d for d in ffd.lattice_spacing]
 
-    n = pts.shape[0]
-    index = _support(ffd, j)
-    values = ffd.coeffs.reshape(-1).take(index)  # (64, 3, n)
+    n = t.shape[0]
     energy = 0.0
     grad = np.zeros_like(ffd.coeffs, order="C")
     pairs = [(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (0, 1, 2.0), (0, 2, 2.0), (1, 2, 2.0)]
@@ -408,7 +420,11 @@ def bending_energy(ffd: FfdTransform, pts: np.ndarray):
 
 
 def register_ffd(fixed: ImageVolume, moving: ImageVolume, config: RegistrationConfig | None = None) -> FfdTransform:
-    """Stochastic decaying-step optimization of MSE + bending energy."""
+    """Stochastic decaying-step optimization of MSE + bending energy.
+
+    Each iteration locates its samples on the lattice once; the displacement,
+    the data-term gradient and the bending gradient all reuse that support.
+    """
     config = config or RegistrationConfig(backend="ffd")
     if not fixed.same_grid(moving):
         raise RegistrationError("fixed and moving grids differ")
@@ -422,22 +438,23 @@ def register_ffd(fixed: ImageVolume, moving: ImageVolume, config: RegistrationCo
 
     for it in range(config.ffd_iterations):
         pts = rng.uniform(lo, hi, size=(config.ffd_samples, 3))
-        cur = replace(ffd, coeffs=coeffs)
-        disp = evaluate_ffd(cur, pts)
-        warped, grads = sample_trilinear_with_gradient(nmoving, pts + disp)
+        t, b0, index, values = _sample_support(ffd, coeffs, pts)
+        w = _weights(*b0)
+        disp = np.zeros((3, len(pts)))
+        for o in range(64):
+            disp += w[o] * values[o]
+        warped, grads = sample_trilinear_with_gradient(nmoving, pts + disp.T)
         fvals = sample_trilinear(nfixed, pts)
         r = warped - fvals
         if not np.all(np.isfinite(r)):
             raise RegistrationError(f"ffd optimization diverged at iteration {it}")
-        # dMSE/dcoeff: scatter residual * image gradient through the basis
-        j, t = _lattice_coords(cur, pts)
-        w = _weights(_bspline_basis(t[:, 0]), _bspline_basis(t[:, 1]), _bspline_basis(t[:, 2]))
+        # dMSE/dcoeff: scatter residual * image gradient through the basis;
+        # g starts at zero, so one bincount sums in np.add.at's order
         contrib = (2.0 / config.ffd_samples) * r[:, None] * grads
-        g = np.zeros_like(coeffs, order="C")
         terms = w[:, None, :] * contrib.T
-        np.add.at(g.reshape(-1), _support(cur, j).ravel(), terms.ravel())
+        g = np.bincount(index.ravel(), terms.ravel(), minlength=coeffs.size).reshape(coeffs.shape)
         if config.ffd_bending_weight > 0:
-            _, gb = bending_energy(cur, pts)
+            _, gb = _bending(ffd, t, b0, index, values)
             g += config.ffd_bending_weight * gb
         gmax = np.abs(g).max()
         if gmax > 0:

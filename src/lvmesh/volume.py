@@ -346,9 +346,9 @@ def resample_z(vol: ImageVolume, new_sz_mm: float):
         data = vol.data[idx]
     else:
         z_new = np.clip(z_new, 0.0, nz - 1.0)
-        k0 = np.minimum(np.floor(z_new).astype(np.intp), nz - 2) if nz > 1 else np.zeros(new_nz, np.intp)
+        k0 = np.minimum(np.floor(z_new).astype(np.intp), max(nz - 2, 0))
         f = (z_new - k0)[:, None, None]
-        data = (1.0 - f) * vol.data[k0] + f * vol.data[k0 + 1]
+        data = (1.0 - f) * vol.data[k0] + f * vol.data[np.minimum(k0 + 1, nz - 1)]
         data = data.astype(np.float32)
     new_spacing = (sx, sy, float(new_sz_mm))
     cls = LabelVolume if is_labels else ImageVolume

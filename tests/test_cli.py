@@ -4,11 +4,15 @@ import logging
 import os
 import re
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import lvmesh
 from lvmesh import pipeline
 from lvmesh.cli import build_parser, main
 from lvmesh.isosurface import decimate
@@ -283,3 +287,16 @@ def test_pipeline_and_report_cli(tmp_path, capsys):
     rc = main(["report", "--manifest", os.path.join(out, "manifest.json")])
     assert rc == 0
     assert "artifacts verified" in capsys.readouterr().out
+
+
+def test_importing_cli_does_not_load_scipy_stats():
+    # a fresh interpreter: this test session may have loaded scipy.stats itself
+    code = ("import sys, lvmesh.cli; "
+            "print('lvmesh.metrics' in sys.modules, "
+            "sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    src = str(Path(lvmesh.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "True []"

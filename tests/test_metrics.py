@@ -146,6 +146,43 @@ def test_ttest_matches_first_principles_welch():
         assert p == pytest.approx(rp, rel=1e-10)
 
 
+def _scipy_welch(a, b):
+    from scipy import stats
+
+    t, p = stats.ttest_ind(a, b, equal_var=False)
+    tier = "**" if p < 0.05 else ("*" if p < 0.1 else "ns")
+    return float(t), float(p), tier
+
+
+def test_ttest_matches_scipy_welch_on_unequal_sizes():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        a = rng.normal(rng.normal(), rng.uniform(0.1, 3.0), int(rng.integers(2, 31)))
+        b = rng.normal(rng.normal(), rng.uniform(0.1, 3.0), int(rng.integers(2, 31)))
+        t, p, tier = ttest(a, b)
+        rt, rp, rtier = _scipy_welch(a, b)
+        assert t == pytest.approx(rt, rel=1e-12)
+        assert p == pytest.approx(rp, rel=1e-10)
+        assert tier == rtier
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("a, b", [
+    ([1.0, 1.0, 1.0], [2.0, 2.0, 2.0, 2.0]),  # both constant, different means
+    ([3.0, 3.0], [2.0, 2.0, 2.0]),
+    ([1.0, 1.0, 1.0], [2.0, 2.5, 2.0]),  # one sample constant
+    ([0.3, 0.8, 1.1, 0.2], [5.0, 5.0]),
+    ([1.0, 2.0], [3.0, 5.0]),  # n = 2
+    ([0.0, 0.1], [0.05, 0.12]),
+])
+def test_ttest_matches_scipy_welch_on_edge_cases(a, b):
+    t, p, tier = ttest(a, b)
+    rt, rp, rtier = _scipy_welch(a, b)
+    assert t == pytest.approx(rt, rel=1e-12)
+    assert p == pytest.approx(rp, rel=1e-10, abs=0.0)
+    assert tier == rtier
+
+
 def test_ttest_significance_tiers():
     # constructed samples at the three significance levels
     a = [0.0, 0.1, -0.1, 0.05, -0.05]

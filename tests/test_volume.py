@@ -278,6 +278,17 @@ def test_resample_z_labels_nearest():
     assert out.data.shape[0] == 12
 
 
+def test_resample_z_single_slice_is_replicated():
+    data = np.arange(16, dtype=np.float32).reshape(1, 4, 4)
+    out = resample_z(ImageVolume(data, (1, 1, 2)), 0.5)
+    assert out.data.shape == (4, 4, 4) and out.data.dtype == np.float32
+    assert out.spacing == (1.0, 1.0, 0.5)
+    assert np.array_equal(out.data, np.repeat(data, 4, axis=0))
+    labels = resample_z(LabelVolume(np.full((1, 4, 4), 2, np.int32), (1, 1, 2)), 0.5)
+    assert isinstance(labels, LabelVolume)
+    assert np.array_equal(labels.data, np.full((4, 4, 4), 2, np.int32))
+
+
 def test_same_grid():
     a = ImageVolume(np.zeros((2, 2, 2)), (1, 1, 1))
     b = ImageVolume(np.zeros((2, 2, 2)), (1, 1, 1.5))
