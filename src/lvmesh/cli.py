@@ -142,7 +142,7 @@ def cmd_lbwarp(args):
         rows.append((i, os.path.basename(surf_path), q.min_scaled_jacobian,
                      q.mean_scaled_jacobian, q.fraction_acceptable, q.n_nonpositive,
                      f"{info.residual:.3e}"))
-        print(f"{surf_path}: warped ({info.method}, residual {info.residual:.2e})")
+        print(f"{surf_path}: warped (residual {info.residual:.2e})")
     pipeline.write_csv_rows(
         os.path.join(args.out, "quality.csv"),
         ["index", "surface", "min_scaled_jacobian", "mean_scaled_jacobian",

@@ -3,29 +3,31 @@
 Each interior vertex is represented as a convex combination of its
 edge-adjacent neighbors with inverse-distance weights computed once on the
 ED mesh.  Warping a frame then reduces to pinning the boundary vertices to
-their target positions and solving one sparse linear system per coordinate
-for the interior.  Row-stochastic positive weights make the interior matrix
-an M-matrix, so the solve is well posed whenever every interior component
-touches the boundary.
+their target positions and solving one sparse linear system for the interior,
+all three coordinates at once.  The system matrix ``I - W_ii`` depends only
+on the ED mesh, so it is LU-factored once per ``InteriorWeights``, on the
+first warp, and every frame reuses the factor.  Row-stochastic positive
+weights make that matrix an M-matrix, which is nonsingular exactly when every
+interior component touches the boundary; building the system checks this and
+raises ``LbwarpError`` otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .isosurface import SurfaceMesh
 from .tetmesh import TetMesh, assess
 
 __all__ = ["InteriorWeights", "WarpInfo", "LbwarpError", "compute_weights", "warp"]
 
-_DENSE_SOLVE_LIMIT = 3000
-_RESIDUAL_TOL = 1e-10
 _MAX_RESIDUAL = 1e-8  # a warp whose relative residual exceeds this is rejected
-_MAX_ITER = 10_000
 
 
 class LbwarpError(Exception):
@@ -47,11 +49,31 @@ class InteriorWeights:
     def row_sums(self) -> np.ndarray:
         return np.asarray(self.matrix.sum(axis=1)).ravel()
 
+    @cached_property
+    def _system(self):
+        """(A, LU factor of A, W_ib): the interior system ``A x = W_ib @ pos_b``
+        with ``A = I - W_ii``, built once, on the first warp."""
+        W_ii = self.matrix[:, self.interior_ids]
+        W_ib = self.matrix[:, self.fixed_ids]
+        # A is singular exactly when some interior component has no edge to
+        # the boundary; SuperLU would not flag its zero pivot
+        n_comp, label = connected_components(W_ii, directed=False)
+        reached = np.zeros(n_comp, dtype=bool)
+        reached[label[W_ib.getnnz(axis=1) > 0]] = True
+        cut = int(np.count_nonzero(~reached[label]))
+        if cut:
+            raise LbwarpError(f"{cut} interior vertices reach no boundary vertex")
+        A = (sp.identity(len(self.interior_ids), format="csr") - W_ii).tocsc()
+        # an M-matrix under a symmetric permutation needs no pivoting, and
+        # A's structure is symmetric (each interior edge enters both rows)
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
+        return A, lu, W_ib
+
 
 @dataclass
 class WarpInfo:
-    method: str  # "dense" | "iterative"
-    iterations: int
+    iterations: int  # 1 with a solve, 0 when there is no interior
     residual: float
 
 
@@ -100,60 +122,29 @@ def warp(mesh_ed: TetMesh, weights: InteriorWeights, target_surface: SurfaceMesh
 
     ``target_surface`` must share vertex ids with the surface that generated
     ``mesh_ed`` (as produced by surface propagation).  Returns the warped
-    mesh (with quality attached) and solve diagnostics; raises when the
-    interior solve's relative residual exceeds 1e-8.
+    mesh (with quality attached) and solve diagnostics; raises when some
+    interior vertex reaches no boundary vertex, and when the interior solve's
+    relative residual exceeds 1e-8.
     """
     if len(target_surface.vertices) != len(mesh_ed.boundary_map):
         raise LbwarpError(
             "target surface vertex count does not match the boundary correspondence"
         )
-    n = len(mesh_ed.vertices)
     new_pos = mesh_ed.vertices.copy()
     new_pos[mesh_ed.boundary_map] = target_surface.vertices
-
-    interior = weights.interior_ids
-    if len(interior) == 0:
-        out = TetMesh(new_pos, mesh_ed.tets.copy(), mesh_ed.boundary_map.copy(),
-                      target_surface.frame_id)
-        out.quality = assess(out)
-        return out, WarpInfo("dense", 0, 0.0)
-
-    W = weights.matrix
-    Wii = W[:, interior]
-    A = sp.identity(len(interior), format="csr") - Wii
-    fixed_mask = np.ones(n, dtype=bool)
-    fixed_mask[interior] = False
-    Wib = W[:, fixed_mask]
-    rhs = Wib @ new_pos[fixed_mask]
-
-    if len(interior) < _DENSE_SOLVE_LIMIT:
-        x = np.linalg.solve(A.toarray(), rhs)
-        method, iters = "dense", 1
-    else:
-        x = np.empty_like(rhs)
-        iters = 0
-        for k in range(3):
-            count = {"n": 0}
-
-            def cb(_):
-                count["n"] += 1
-
-            sol, info = spla.bicgstab(
-                A, rhs[:, k], rtol=_RESIDUAL_TOL / 10, maxiter=_MAX_ITER, callback=cb
-            )
-            if info != 0:
-                raise LbwarpError(f"iterative interior solve failed (info={info})")
-            x[:, k] = sol
-            iters = max(iters, count["n"])
-        method = "iterative"
-
-    residual = float(
-        np.linalg.norm(A @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
-    )
-    if residual > _MAX_RESIDUAL:
-        raise LbwarpError(f"interior solve residual {residual:.3e} exceeds tolerance")
-    new_pos[interior] = x
+    iterations, residual = 0, 0.0
+    if len(weights.interior_ids):
+        A, lu, W_ib = weights._system
+        rhs = W_ib @ new_pos[weights.fixed_ids]
+        x = lu.solve(rhs)
+        residual = float(
+            np.linalg.norm(A @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
+        )
+        if residual > _MAX_RESIDUAL:
+            raise LbwarpError(f"interior solve residual {residual:.3e} exceeds tolerance")
+        new_pos[weights.interior_ids] = x
+        iterations = 1
     out = TetMesh(new_pos, mesh_ed.tets.copy(), mesh_ed.boundary_map.copy(),
                   target_surface.frame_id)
     out.quality = assess(out)
-    return out, WarpInfo(method, iters, residual)
+    return out, WarpInfo(iterations, residual)

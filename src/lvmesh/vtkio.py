@@ -24,6 +24,11 @@ class VtkIoError(Exception):
     pass
 
 
+def _check_indices(path: str, cells: np.ndarray, n_points: int) -> None:
+    if cells.size and (cells.min() < 0 or cells.max() >= n_points):
+        raise VtkIoError(f"{path!r}: cell point index outside [0, {n_points})")
+
+
 def _rows(fmt: str, a: np.ndarray) -> str:
     """One ``fmt`` line per row of ``a``, formatted by a single ``%``."""
     return (fmt * len(a)) % tuple(a.ravel().tolist())
@@ -58,7 +63,8 @@ def read_polydata(path: str) -> SurfaceMesh:
     except (ValueError, IndexError) as exc:
         raise VtkIoError(f"malformed polydata file {path!r}: {exc}") from exc
     if not np.all(cells[:, 0] == 3):
-        raise VtkIoError("only triangle polygons are supported")
+        raise VtkIoError(f"{path!r}: only triangle polygons are supported")
+    _check_indices(path, cells[:, 1:], n)
     return SurfaceMesh(coords, cells[:, 1:])
 
 
@@ -106,17 +112,27 @@ def read_unstructured_grid(path: str) -> TetMesh:
         j = tokens.index("CELLS")
         m = int(tokens[j + 1])
         cells = np.array(tokens[j + 3 : j + 3 + 5 * m], dtype=np.int64).reshape(m, 5)
+        sidx = None
+        if "surface_index" in tokens:
+            # skip the type, component count, and LOOKUP_TABLE name tokens
+            k = tokens.index("surface_index") + 5
+            sidx = np.array(tokens[k : k + n], dtype=np.int64)
     except (ValueError, IndexError) as exc:
         raise VtkIoError(f"malformed unstructured grid file {path!r}: {exc}") from exc
     if not np.all(cells[:, 0] == 4):
-        raise VtkIoError("only tetrahedral cells are supported")
+        raise VtkIoError(f"{path!r}: only tetrahedral cells are supported")
+    _check_indices(path, cells[:, 1:], n)
     boundary_map = np.arange(0)
-    if "surface_index" in tokens:
-        # skip the type, component count, and LOOKUP_TABLE name tokens
-        k = tokens.index("surface_index") + 5
-        sidx = np.array(tokens[k : k + n], dtype=np.int64)
+    if sidx is not None:
+        if len(sidx) != n:
+            raise VtkIoError(f"{path!r}: surface_index has {len(sidx)} values for {n} points")
         mapped = sidx >= 0
-        boundary_map = np.empty(int(mapped.sum()), dtype=np.int64)
+        k = int(np.count_nonzero(mapped))
+        # the mapped values index the generating surface: each of 0..k-1 once
+        if not np.array_equal(np.sort(sidx[mapped]), np.arange(k)):
+            raise VtkIoError(f"{path!r}: surface_index values are not a permutation of "
+                             "0..k-1 over the mapped points")
+        boundary_map = np.empty(k, dtype=np.int64)
         boundary_map[sidx[mapped]] = np.nonzero(mapped)[0]
     return TetMesh(coords, cells[:, 1:], boundary_map)
 

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import linalg as spla
 from scipy.special import stdtr
 
 from lvmesh import geometry
@@ -17,7 +18,7 @@ from lvmesh.isosurface import IsosurfaceError, SurfaceMesh
 from lvmesh.lbwarp import InteriorWeights, LbwarpError
 from lvmesh.register import (DisplacementField, FfdTransform, RegistrationConfig,
                              RegistrationError, _normalize_pair, make_lattice)
-from lvmesh.tetmesh import TetMesh
+from lvmesh.tetmesh import TetMesh, assess
 from lvmesh.volume import ImageVolume, sample_trilinear, sample_trilinear_with_gradient
 
 
@@ -733,3 +734,72 @@ def compute_weights(mesh_ed: TetMesh) -> InteriorWeights:
         raise LbwarpError("isolated interior vertex (no incident edges)")
     W = sparse.diags(1.0 / sums) @ W
     return InteriorWeights(interior, fixed, W.tocsr())
+
+
+# the former lbwarp solver constants; tests monkeypatch _DENSE_SOLVE_LIMIT to
+# force the BiCGSTAB branch
+_DENSE_SOLVE_LIMIT = 3000
+_RESIDUAL_TOL = 1e-10
+_MAX_RESIDUAL = 1e-8
+_MAX_ITER = 10_000
+
+
+def warp(mesh_ed: TetMesh, weights: InteriorWeights, target_surface: SurfaceMesh):
+    """The former ``lbwarp.warp``, verbatim except that it returns
+    ``(method, iterations, residual)`` as a tuple: ``A`` rebuilt per frame,
+    a dense solve below ``_DENSE_SOLVE_LIMIT`` interior vertices and one
+    BiCGSTAB run per coordinate above it."""
+    if len(target_surface.vertices) != len(mesh_ed.boundary_map):
+        raise LbwarpError(
+            "target surface vertex count does not match the boundary correspondence"
+        )
+    n = len(mesh_ed.vertices)
+    new_pos = mesh_ed.vertices.copy()
+    new_pos[mesh_ed.boundary_map] = target_surface.vertices
+
+    interior = weights.interior_ids
+    if len(interior) == 0:
+        out = TetMesh(new_pos, mesh_ed.tets.copy(), mesh_ed.boundary_map.copy(),
+                      target_surface.frame_id)
+        out.quality = assess(out)
+        return out, ("dense", 0, 0.0)
+
+    W = weights.matrix
+    Wii = W[:, interior]
+    A = sparse.identity(len(interior), format="csr") - Wii
+    fixed_mask = np.ones(n, dtype=bool)
+    fixed_mask[interior] = False
+    Wib = W[:, fixed_mask]
+    rhs = Wib @ new_pos[fixed_mask]
+
+    if len(interior) < _DENSE_SOLVE_LIMIT:
+        x = np.linalg.solve(A.toarray(), rhs)
+        method, iters = "dense", 1
+    else:
+        x = np.empty_like(rhs)
+        iters = 0
+        for k in range(3):
+            count = {"n": 0}
+
+            def cb(_):
+                count["n"] += 1
+
+            sol, info = spla.bicgstab(
+                A, rhs[:, k], rtol=_RESIDUAL_TOL / 10, maxiter=_MAX_ITER, callback=cb
+            )
+            if info != 0:
+                raise LbwarpError(f"iterative interior solve failed (info={info})")
+            x[:, k] = sol
+            iters = max(iters, count["n"])
+        method = "iterative"
+
+    residual = float(
+        np.linalg.norm(A @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
+    )
+    if residual > _MAX_RESIDUAL:
+        raise LbwarpError(f"interior solve residual {residual:.3e} exceeds tolerance")
+    new_pos[interior] = x
+    out = TetMesh(new_pos, mesh_ed.tets.copy(), mesh_ed.boundary_map.copy(),
+                  target_surface.frame_id)
+    out.quality = assess(out)
+    return out, (method, iters, residual)

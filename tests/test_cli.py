@@ -209,7 +209,7 @@ def test_register_and_propagate_cli(dataset, config, tmp_path):
     assert not np.array_equal(a.vertices, b.vertices)
 
 
-def test_lbwarp_cli(dataset, config, tmp_path):
+def test_lbwarp_cli(dataset, config, tmp_path, capsys):
     surf_path = str(tmp_path / "surf.vtk")
     main(["isosurface", "--config", config,
           "--labels", os.path.join(dataset, "labels_00.mhd"), "--out", surf_path])
@@ -218,9 +218,12 @@ def test_lbwarp_cli(dataset, config, tmp_path):
     mesh_path = str(tmp_path / "mesh.vtk")
     main(["tetmesh", "--config", config, "--surface", dec_path, "--out", mesh_path])
     out = str(tmp_path / "warp")
+    capsys.readouterr()
     rc = main(["lbwarp", "--mesh", mesh_path, "--surfaces", dec_path,
                "--out", out])
     assert rc == 0
+    assert re.fullmatch(re.escape(dec_path) + r": warped \(residual \d\.\d\de-\d+\)\n",
+                        capsys.readouterr().out)
     assert os.path.exists(os.path.join(out, "tet_lbwarp_01.vtk"))
     assert os.path.exists(os.path.join(out, "quality.csv"))
 

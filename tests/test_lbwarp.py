@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import _oracles
 import lvmesh.lbwarp as lbwarp
@@ -52,19 +53,20 @@ def test_boundary_pinned_bit_exact(ed_surface, ed_tetmesh):
     assert np.array_equal(out.tets, ed_tetmesh.tets)
 
 
-def test_affine_equivariance(ed_surface, ed_tetmesh):
+@settings(max_examples=25)
+@given(hnp.arrays(np.float64, (3, 3), elements=st.floats(-0.5, 0.5)),
+       hnp.arrays(np.float64, 3, elements=st.floats(-20.0, 20.0)))
+def test_affine_equivariance(ed_surface, ed_tetmesh, P, b):
+    # weights that sum to one reproduce any affine map x -> (I + P) x + b
     w = compute_weights(ed_tetmesh)
     base, _ = warp(ed_tetmesh, w, ed_surface)
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        A = np.eye(3) + 0.15 * rng.standard_normal((3, 3))
-        b = 4.0 * rng.standard_normal(3)
-        target = SurfaceMesh(ed_surface.vertices @ A.T + b, ed_surface.triangles)
-        out, info = warp(ed_tetmesh, w, target)
-        expect = base.vertices @ A.T + b
-        rel = np.linalg.norm(out.vertices - expect) / np.linalg.norm(expect)
-        assert rel < 1e-8
-        assert info.residual < 1e-10
+    A = np.eye(3) + P
+    target = SurfaceMesh(ed_surface.vertices @ A.T + b, ed_surface.triangles)
+    out, info = warp(ed_tetmesh, w, target)
+    expect = base.vertices @ A.T + b
+    rel = np.linalg.norm(out.vertices - expect) / np.linalg.norm(expect)
+    assert rel < 1e-8
+    assert info.residual < 1e-10
 
 
 def test_interior_matrix_is_m_matrix(ed_tetmesh):
@@ -82,18 +84,65 @@ def test_interior_matrix_is_m_matrix(ed_tetmesh):
     assert (row_off < 1.0 - 1e-9).any()
 
 
-def test_iterative_path_matches_dense(ed_surface, ed_tetmesh, monkeypatch):
-    w = compute_weights(ed_tetmesh)
-    rng = np.random.default_rng(2)
-    target = SurfaceMesh(ed_surface.vertices + 0.2 * rng.standard_normal(
+def _random_target(ed_surface, seed):
+    rng = np.random.default_rng(seed)
+    return SurfaceMesh(ed_surface.vertices + 0.2 * rng.standard_normal(
         ed_surface.vertices.shape), ed_surface.triangles)
-    dense_out, dense_info = warp(ed_tetmesh, w, target)
-    assert dense_info.method == "dense"
-    monkeypatch.setattr(lbwarp, "_DENSE_SOLVE_LIMIT", 0)
-    iter_out, iter_info = warp(ed_tetmesh, w, target)
-    assert iter_info.method == "iterative"
-    assert iter_info.residual < 1e-10
-    np.testing.assert_allclose(iter_out.vertices, dense_out.vertices, atol=1e-7)
+
+
+def test_warp_matches_oracle_dense_solve(ed_surface, ed_tetmesh):
+    w = compute_weights(ed_tetmesh)
+    for seed in (2, 3, 4):
+        target = _random_target(ed_surface, seed)
+        out, info = warp(ed_tetmesh, w, target)
+        ref, (method, _, _) = _oracles.warp(ed_tetmesh, w, target)
+        assert method == "dense"
+        assert info.iterations == 1 and info.residual < 1e-10
+        rel = np.linalg.norm(out.vertices - ref.vertices) / np.linalg.norm(ref.vertices)
+        assert rel < 1e-12
+        assert np.array_equal(out.vertices[out.boundary_map], target.vertices)
+
+
+def test_warp_matches_oracle_bicgstab_solve(ed_surface, ed_tetmesh, monkeypatch):
+    monkeypatch.setattr(_oracles, "_DENSE_SOLVE_LIMIT", 0)
+    w = compute_weights(ed_tetmesh)
+    target = _random_target(ed_surface, 2)
+    out, _ = warp(ed_tetmesh, w, target)
+    ref, (method, _, _) = _oracles.warp(ed_tetmesh, w, target)
+    assert method == "iterative"
+    np.testing.assert_allclose(out.vertices, ref.vertices, atol=1e-7)
+
+
+def test_interior_system_factored_once_per_weights(ed_surface, ed_tetmesh, monkeypatch):
+    calls = []
+    splu = lbwarp.spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(lbwarp.spla, "splu", counting_splu)
+    w = compute_weights(ed_tetmesh)
+    for seed in (5, 6, 7):
+        warp(ed_tetmesh, w, _random_target(ed_surface, seed))
+    assert len(calls) == 1
+
+
+def _detached_cluster_mesh(boundary_map):
+    """``_two_tet_mesh`` plus a translated copy that shares no vertex with it."""
+    mesh = _two_tet_mesh()
+    v = np.concatenate([mesh.vertices, mesh.vertices + 5.0])
+    tets = np.concatenate([mesh.tets, mesh.tets + 5])
+    return TetMesh(v, tets, np.asarray(boundary_map, dtype=np.int64))
+
+
+@pytest.mark.parametrize("boundary_map, n_cut", [([0, 1, 2, 3], 5), ([], 10)])
+def test_interior_cut_off_from_boundary_raises(boundary_map, n_cut):
+    mesh = _detached_cluster_mesh(boundary_map)
+    w = compute_weights(mesh)
+    target = SurfaceMesh(mesh.vertices[mesh.boundary_map], np.empty((0, 3), dtype=np.int64))
+    with pytest.raises(LbwarpError, match=f"{n_cut} interior vertices reach no boundary"):
+        warp(mesh, w, target)
 
 
 def test_vertex_count_mismatch_raises(ed_surface, ed_tetmesh):

@@ -63,10 +63,60 @@ def test_unstructured_grid_roundtrip_with_boundary_map(tmp_path):
 
 def test_unstructured_grid_without_quality(tmp_path):
     mesh = _tetmesh()
-    path = str(tmp_path / "m.vtk")
+    path, again = str(tmp_path / "m.vtk"), str(tmp_path / "again.vtk")
     write_unstructured_grid(mesh, path)
     back = read_unstructured_grid(path)
     np.testing.assert_array_equal(back.tets, mesh.tets)
+    write_unstructured_grid(back, again)
+    assert open(path, "rb").read() == open(again, "rb").read()
+
+
+def _grid_file(tmp_path, cells="4 0 1 2 3\n4 1 2 3 4", sidx="0\n1\n2\n-1\n3"):
+    """``_tetmesh`` as a hand-written VTK file; ``cells`` and ``sidx`` replace
+    its CELLS and surface_index sections."""
+    p = tmp_path / "grid.vtk"
+    p.write_text(
+        "# vtk DataFile Version 3.0\ng\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+        "POINTS 5 float\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n"
+        f"CELLS 2 10\n{cells}\nCELL_TYPES 2\n10\n10\n"
+        f"POINT_DATA 5\nSCALARS surface_index int 1\nLOOKUP_TABLE default\n{sidx}\n"
+    )
+    return str(p)
+
+
+def test_hand_written_grid_reads_back(tmp_path):
+    back = read_unstructured_grid(_grid_file(tmp_path))
+    np.testing.assert_array_equal(back.tets, _tetmesh().tets)
+    np.testing.assert_array_equal(back.boundary_map, _tetmesh().boundary_map)
+
+
+@pytest.mark.parametrize("cells", ["4 0 1 2 3\n4 1 2 3 7", "4 0 1 2 3\n4 1 2 3 -1"],
+                         ids=["past_end", "negative"])
+def test_unstructured_grid_rejects_cell_index_out_of_range(tmp_path, cells):
+    with pytest.raises(VtkIoError, match="grid.vtk.*outside"):
+        read_unstructured_grid(_grid_file(tmp_path, cells=cells))
+
+
+def test_polydata_rejects_cell_index_out_of_range(tmp_path):
+    p = tmp_path / "tri.vtk"
+    p.write_text(
+        "# vtk DataFile Version 3.0\nt\nASCII\nDATASET POLYDATA\n"
+        "POINTS 3 float\n0 0 0\n1 0 0\n0 1 0\n"
+        "POLYGONS 1 4\n3 0 1 -1\n"
+    )
+    with pytest.raises(VtkIoError, match="tri.vtk.*outside"):
+        read_polydata(str(p))
+
+
+def test_surface_index_rejects_short_section(tmp_path):
+    with pytest.raises(VtkIoError, match="grid.vtk.*4 values for 5 points"):
+        read_unstructured_grid(_grid_file(tmp_path, sidx="0\n1\n2\n-1"))
+
+
+@pytest.mark.parametrize("sidx", ["0 1 1 3 -1", "0 1 2 9 -1", "1 2 3 -1 4"])
+def test_surface_index_rejects_values_other_than_0_to_k(tmp_path, sidx):
+    with pytest.raises(VtkIoError, match="grid.vtk.*permutation"):
+        read_unstructured_grid(_grid_file(tmp_path, sidx=sidx))
 
 
 def test_malformed_files_raise(tmp_path):
