@@ -113,20 +113,25 @@ def _laplacian(u: np.ndarray) -> np.ndarray:
     """7-point Laplacian stencil with replicate (Neumann) boundaries.
 
     Per axis the operator is -D^T D with D the forward difference, so it is
-    self-adjoint: ``grad_dense`` applies it to its own output.
+    self-adjoint: ``grad_dense`` applies it to its own output.  The six
+    neighbours are summed in the order z+, z-, y+, y-, x+, x-, each edge
+    neighbour being the voxel itself.
     """
-    pad = [(1, 1)] * 3 + [(0, 0)] * (u.ndim - 3)
-    up = np.pad(u, pad, mode="edge")
-    c = up[1:-1, 1:-1, 1:-1]
-    return (
-        up[2:, 1:-1, 1:-1]
-        + up[:-2, 1:-1, 1:-1]
-        + up[1:-1, 2:, 1:-1]
-        + up[1:-1, :-2, 1:-1]
-        + up[1:-1, 1:-1, 2:]
-        + up[1:-1, 1:-1, :-2]
-        - 6.0 * c
-    )
+    out = np.empty_like(u)
+    out[:-1] = u[1:]
+    out[-1:] = u[-1:]
+    out[1:] += u[:-1]
+    out[:1] += u[:1]
+    out[:, :-1] += u[:, 1:]
+    out[:, -1:] += u[:, -1:]
+    out[:, 1:] += u[:, :-1]
+    out[:, :1] += u[:, :1]
+    out[:, :, :-1] += u[:, :, 1:]
+    out[:, :, -1:] += u[:, :, -1:]
+    out[:, :, 1:] += u[:, :, :-1]
+    out[:, :, :1] += u[:, :, :1]
+    out -= 6.0 * u
+    return out
 
 
 def loss_dense(fixed: ImageVolume, moving: ImageVolume, u: np.ndarray, lam: float):
@@ -140,14 +145,37 @@ def loss_dense(fixed: ImageVolume, moving: ImageVolume, u: np.ndarray, lam: floa
 
 def grad_dense(fixed: ImageVolume, moving: ImageVolume, u: np.ndarray, lam: float):
     """``loss_dense`` and its analytic gradient w.r.t. u: (loss_tuple, grad)."""
+    centers, fixed_data, u = _dense_inputs(fixed, moving, u)
+    return _objective(centers, fixed_data, moving, u, lam)
+
+
+def _check_pair(fixed: ImageVolume, moving: ImageVolume) -> None:
+    """Raise unless fixed and moving are scalar images on one grid."""
     if not fixed.same_grid(moving):
         raise RegistrationError("fixed and moving grids differ")
+    for name, vol in (("fixed", fixed), ("moving", moving)):
+        if vol.data.ndim != 3:
+            raise RegistrationError(
+                f"{name} image must be scalar, got data shape {vol.data.shape}")
+
+
+def _dense_inputs(fixed: ImageVolume, moving: ImageVolume, u: np.ndarray):
+    """Check a dense registration pair and field, and return what
+    ``_objective`` needs of them: the fixed image's voxel centers and float64
+    intensities, which stay fixed for a whole pyramid level, and u as float64."""
+    _check_pair(fixed, moving)
     u = np.asarray(u, dtype=np.float64)
     if u.shape != fixed.data.shape + (3,):
         raise RegistrationError(f"field shape {u.shape} does not match the fixed grid")
-    pts = fixed.voxel_centers() + u
-    warped, grads = sample_trilinear_with_gradient(moving, pts)
-    r = warped - fixed.data.astype(np.float64)
+    return fixed.voxel_centers(), fixed.data.astype(np.float64), u
+
+
+def _objective(centers: np.ndarray, fixed_data: np.ndarray, moving: ImageVolume,
+               u: np.ndarray, lam: float):
+    """The body of ``grad_dense`` on the fixed image's voxel centers and
+    float64 intensities."""
+    warped, grads = sample_trilinear_with_gradient(moving, centers + u)
+    r = warped - fixed_data
     n = r.size
     sim = float(np.mean(r * r))
     g = (2.0 / n) * r[..., None] * grads
@@ -206,8 +234,7 @@ def register_dense(fixed: ImageVolume, moving: ImageVolume, config: Registration
     step size and smoothness weight are resolution- and contrast-portable.
     """
     config = config or RegistrationConfig()
-    if not fixed.same_grid(moving):
-        raise RegistrationError("fixed and moving grids differ")
+    _check_pair(fixed, moving)
     nfixed, nmoving = _normalize_pair(fixed, moving, config.smooth_sigma_vox)
 
     levels = []
@@ -234,11 +261,12 @@ def register_dense(fixed: ImageVolume, moving: ImageVolume, config: Registration
 
 def _adam_minimize(fx, mv, u, config: RegistrationConfig, level: int, history: list | None):
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    centers, fixed_data, u = _dense_inputs(fx, mv, u)
     m = np.zeros_like(u)
     v = np.zeros_like(u)
     best_u, best_loss = u.copy(), np.inf
     for it in range(config.iterations):
-        (total, sim, smooth), g = grad_dense(fx, mv, u, config.lam)
+        (total, sim, smooth), g = _objective(centers, fixed_data, mv, u, config.lam)
         if not np.isfinite(total):
             raise RegistrationError(f"dense optimization diverged at iteration {it}")
         if history is not None:
@@ -250,7 +278,7 @@ def _adam_minimize(fx, mv, u, config: RegistrationConfig, level: int, history: l
         mh = m / (1 - beta1 ** (it + 1))
         vh = v / (1 - beta2 ** (it + 1))
         u = u - config.step_size * mh / (np.sqrt(vh) + eps)
-    total, _, _ = loss_dense(fx, mv, u, config.lam)
+    (total, _, _), _ = _objective(centers, fixed_data, mv, u, config.lam)
     if total < best_loss:
         best_loss, best_u = total, u
     return best_u
@@ -426,8 +454,7 @@ def register_ffd(fixed: ImageVolume, moving: ImageVolume, config: RegistrationCo
     the data-term gradient and the bending gradient all reuse that support.
     """
     config = config or RegistrationConfig(backend="ffd")
-    if not fixed.same_grid(moving):
-        raise RegistrationError("fixed and moving grids differ")
+    _check_pair(fixed, moving)
     nfixed, nmoving = _normalize_pair(fixed, moving, config.smooth_sigma_vox)
     ffd = make_lattice(fixed, config.ffd_control_spacing_vox)
     coeffs = ffd.coeffs.copy()

@@ -283,51 +283,70 @@ def sample_trilinear_with_gradient(vol: ImageVolume, points_mm: np.ndarray):
 
 def _trilinear(vol: ImageVolume, points_mm: np.ndarray, want_gradient: bool):
     """One channel-last path: a scalar volume is sampled as one channel and
-    that axis is dropped from the outputs."""
+    that axis is dropped from the outputs.
+
+    Each corner is one gather from the flattened grid.  The upper corner of
+    an axis is the lower one plus a fixed step (0 on a singleton axis), so
+    every corner's flat index is the lower corner's plus a constant.  The
+    gradient weights are the corner weight with one factor replaced by
+    d/df of (1 - f, f) = (-1, +1), i.e. plus or minus the product of the
+    other two factors, which the value weight shares.
+    """
     pts = np.asarray(points_mm, dtype=np.float64)
     out_shape = pts.shape[:-1]
-    # continuous (x, y, z) index of each point, (N, 3)
-    ci = (pts.reshape(-1, 3) - np.asarray(vol.origin)) / np.asarray(vol.spacing)
+    pts = pts.reshape(-1, 3)
+    if np.isnan(pts).any():
+        count = np.count_nonzero(np.isnan(pts).any(axis=1))
+        raise VolumeError(f"{count} sample point(s) have a NaN coordinate")
+    n = pts.shape[0]
     nz, ny, nx = vol.data.shape[:3]
-    dims = np.array([nx, ny, nz], dtype=np.float64)
+    flat = vol.data.reshape(nz * ny * nx, -1)
 
-    clamped = np.clip(ci, 0.0, dims - 1.0)
-    inside = (ci > 0.0) & (ci < dims - 1.0)  # derivative survives only off the clamp
-    i0 = np.floor(clamped).astype(np.intp)
-    i0 = np.minimum(i0, (dims - 2).astype(np.intp).clip(min=0))
-    frac = clamped - i0
-    i1 = np.minimum(i0 + 1, (dims - 1).astype(np.intp))
+    base = np.zeros(n, dtype=np.intp)  # flat index of the lower corner
+    weights, steps, scales = [], [], []
+    stride = 1
+    for axis, size in enumerate((nx, ny, nz)):
+        c = (pts[:, axis] - vol.origin[axis]) / vol.spacing[axis]  # continuous index
+        clamped = np.clip(c, 0.0, size - 1.0)
+        i0 = np.minimum(np.floor(clamped).astype(np.intp), max(size - 2, 0))
+        f = clamped - i0
+        base += i0 * stride
+        weights.append((1.0 - f, f))
+        steps.append(stride if size > 1 else 0)
+        if want_gradient:
+            # chain rule index -> mm, zeroed where the clamp is active
+            scales.append(((c > 0.0) & (c < size - 1.0)) / vol.spacing[axis])
+        stride *= size
+    (wx, wy, wz), (sx, sy, sz) = weights, steps
+
+    acc = np.zeros((n, flat.shape[1]))
+    grad = np.zeros((3, n, flat.shape[1])) if want_gradient else None
+    for cz in (0, 1):
+        for cy in (0, 1):
+            if want_gradient:
+                wyz = (wy[cy] * wz[cz])[:, None]
+            for cx in (0, 1):
+                v = flat.take(base + (cz * sz + cy * sy + cx * sx), axis=0)
+                wxy = wx[cx] * wy[cy]
+                acc += (wxy * wz[cz])[:, None] * v
+                if not want_gradient:
+                    continue
+                # the lower corner's derivative weight is the negated product
+                for g, w, upper in ((grad[0], wyz, cx),
+                                    (grad[1], (wx[cx] * wz[cz])[:, None], cy),
+                                    (grad[2], wxy[:, None], cz)):
+                    if upper:
+                        g += w * v
+                    else:
+                        g -= w * v
 
     tail = vol.data.shape[3:]  # () for a scalar volume
-    data = vol.data.reshape(vol.data.shape[:3] + (-1,))
-    acc = np.zeros((ci.shape[0], data.shape[3]))
-    grad = np.zeros((ci.shape[0], 3, data.shape[3])) if want_gradient else None
-
-    fx, fy, fz = frac[:, 0], frac[:, 1], frac[:, 2]
-    wx = (1.0 - fx, fx)
-    wy = (1.0 - fy, fy)
-    wz = (1.0 - fz, fz)
-    dwx = (-1.0, 1.0)
-    for cz in (0, 1):
-        iz = (i0[:, 2], i1[:, 2])[cz]
-        for cy in (0, 1):
-            iy = (i0[:, 1], i1[:, 1])[cy]
-            for cx in (0, 1):
-                ix = (i0[:, 0], i1[:, 0])[cx]
-                v = data[iz, iy, ix]
-                w = wx[cx] * wy[cy] * wz[cz]
-                acc += w[:, None] * v
-                if want_gradient:
-                    grad[:, 0] += (dwx[cx] * wy[cy] * wz[cz])[:, None] * v
-                    grad[:, 1] += (wx[cx] * dwx[cy] * wz[cz])[:, None] * v
-                    grad[:, 2] += (wx[cx] * wy[cy] * dwx[cz])[:, None] * v
-
     vals = acc.reshape(out_shape + tail)
     if not want_gradient:
         return vals, None
-    # chain rule index -> mm, zeroed where the clamp is active
-    grad *= inside[:, :, None] / np.asarray(vol.spacing)[None, :, None]
-    return vals, grad.reshape(out_shape + (3,) + tail)
+    for g, scale in zip(grad, scales):
+        g *= scale[:, None]
+    return vals, grad.transpose(1, 0, 2).reshape(out_shape + (3,) + tail)
 
 
 def resample_z(vol: ImageVolume, new_sz_mm: float):

@@ -17,7 +17,7 @@ from lvmesh import geometry
 from lvmesh.isosurface import IsosurfaceError, SurfaceMesh
 from lvmesh.lbwarp import InteriorWeights, LbwarpError
 from lvmesh.register import (DisplacementField, FfdTransform, RegistrationConfig,
-                             RegistrationError, _normalize_pair, make_lattice)
+                             RegistrationError, _downsample, _normalize_pair, make_lattice)
 from lvmesh.tetmesh import TetMesh, assess
 from lvmesh.volume import ImageVolume, sample_trilinear, sample_trilinear_with_gradient
 
@@ -691,6 +691,104 @@ def sample_trilinear_paths(vol: ImageVolume, points_mm: np.ndarray, want_gradien
         grad *= inside / spacing[None, :]
         grads = grad.reshape(out_shape + (3,))
     return vals, grads
+
+
+# ---------------------------------------------------------------------------
+# Dense registration as first written: an ``np.pad`` Laplacian, and a
+# ``grad_dense`` that checks its inputs and rebuilds the voxel centers and the
+# float64 fixed intensities at every Adam step, sampling with the branching
+# trilinear above.  ``register._laplacian`` and ``register.register_dense``
+# must match them bit for bit.
+
+
+def laplacian_pad(u: np.ndarray) -> np.ndarray:
+    """The former ``register._laplacian``, verbatim."""
+    pad = [(1, 1)] * 3 + [(0, 0)] * (u.ndim - 3)
+    up = np.pad(u, pad, mode="edge")
+    c = up[1:-1, 1:-1, 1:-1]
+    return (
+        up[2:, 1:-1, 1:-1]
+        + up[:-2, 1:-1, 1:-1]
+        + up[1:-1, 2:, 1:-1]
+        + up[1:-1, :-2, 1:-1]
+        + up[1:-1, 1:-1, 2:]
+        + up[1:-1, 1:-1, :-2]
+        - 6.0 * c
+    )
+
+
+def grad_dense(fixed: ImageVolume, moving: ImageVolume, u: np.ndarray, lam: float):
+    """The former ``register.grad_dense``, verbatim but for the two kernels."""
+    if not fixed.same_grid(moving):
+        raise RegistrationError("fixed and moving grids differ")
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != fixed.data.shape + (3,):
+        raise RegistrationError(f"field shape {u.shape} does not match the fixed grid")
+    pts = fixed.voxel_centers() + u
+    warped, grads = sample_trilinear_paths(moving, pts, True)
+    r = warped - fixed.data.astype(np.float64)
+    n = r.size
+    sim = float(np.mean(r * r))
+    g = (2.0 / n) * r[..., None] * grads
+    lap = laplacian_pad(u)
+    smooth = float(np.mean(lap * lap))
+    g += lam * (2.0 / lap.size) * laplacian_pad(lap)
+    return (sim + lam * smooth, sim, smooth), g
+
+
+def _adam_minimize(fx, mv, u, config: RegistrationConfig, level: int, history: list | None):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m = np.zeros_like(u)
+    v = np.zeros_like(u)
+    best_u, best_loss = u.copy(), np.inf
+    for it in range(config.iterations):
+        (total, sim, smooth), g = grad_dense(fx, mv, u, config.lam)
+        if not np.isfinite(total):
+            raise RegistrationError(f"dense optimization diverged at iteration {it}")
+        if history is not None:
+            history.append((level, it, total, sim, smooth))
+        if total < best_loss:
+            best_loss, best_u = total, u.copy()
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        mh = m / (1 - beta1 ** (it + 1))
+        vh = v / (1 - beta2 ** (it + 1))
+        u = u - config.step_size * mh / (np.sqrt(vh) + eps)
+    (total, _, _), _ = grad_dense(fx, mv, u, config.lam)
+    if total < best_loss:
+        best_loss, best_u = total, u
+    return best_u
+
+
+def register_dense(fixed: ImageVolume, moving: ImageVolume, config: RegistrationConfig | None = None,
+                   history: list | None = None) -> DisplacementField:
+    """The former ``register.register_dense``, verbatim but for the kernels."""
+    config = config or RegistrationConfig()
+    if not fixed.same_grid(moving):
+        raise RegistrationError("fixed and moving grids differ")
+    nfixed, nmoving = _normalize_pair(fixed, moving, config.smooth_sigma_vox)
+
+    levels = []
+    for lvl in range(config.pyramid_levels):
+        f = 2 ** lvl
+        if min(nfixed.data.shape) // f < 4:
+            break
+        levels.append(f)
+    levels = levels[::-1] or [1]
+
+    u = None
+    prev_grid = None
+    for factor in levels:
+        fx = _downsample(nfixed, factor)
+        mv = _downsample(nmoving, factor)
+        if u is None:
+            u = np.zeros(fx.data.shape + (3,))
+        else:
+            carrier = ImageVolume(u, prev_grid.spacing, prev_grid.origin)
+            u = sample_trilinear_paths(carrier, fx.voxel_centers(), False)[0]
+        u = _adam_minimize(fx, mv, u, config, factor, history)
+        prev_grid = fx
+    return DisplacementField(u, fixed.spacing, fixed.origin)
 
 
 def compute_weights(mesh_ed: TetMesh) -> InteriorWeights:

@@ -112,6 +112,16 @@ def test_laplacian_is_self_adjoint(shape, channels, seed):
     assert abs(np.sum(lu * w) - np.sum(u * lw)) <= bound
 
 
+@settings(max_examples=60)
+@given(st.tuples(*[st.integers(1, 7)] * 3), st.sampled_from([(), (1,), (3,)]),
+       st.integers(0, 2**32 - 1))
+def test_laplacian_matches_pad_oracle_bitwise(shape, channels, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(shape + channels) * 10.0 ** rng.uniform(-6, 6)
+    got, ref = register._laplacian(u), _oracles.laplacian_pad(u)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 def test_gradient_matches_central_differences_on_the_boundary():
     # lam = 1 weights the smoothness term up, whose boundary rows differ
     # most from the interior; probes on faces, edges and corners
@@ -143,6 +153,49 @@ def test_grad_dense_rejects_other_grid_and_field_shape():
         grad_dense(fixed, coarse, u, 1e-3)
     with pytest.raises(RegistrationError, match="field shape"):
         grad_dense(fixed, moving, u[:-1], 1e-3)
+
+
+def test_registration_rejects_vector_images():
+    rng = np.random.default_rng(7)
+    fixed, moving, u = _random_pair(rng)
+    vector = ImageVolume(rng.standard_normal((6, 6, 6, 3)), (1.0, 1.0, 1.0))
+    ffd = RegistrationConfig(backend="ffd", ffd_iterations=1)
+    for name, pair in (("moving", (fixed, vector)), ("fixed", (vector, moving))):
+        message = rf"^{name} image must be scalar, got data shape \(6, 6, 6, 3\)$"
+        with pytest.raises(RegistrationError, match=message):
+            grad_dense(*pair, u, 1e-3)
+        with pytest.raises(RegistrationError, match=message):
+            register_dense(*pair, RegistrationConfig(iterations=1))
+        with pytest.raises(RegistrationError, match=message):
+            register_ffd(*pair, ffd)
+
+
+def _anisotropic_pair():
+    rng = np.random.default_rng(13)
+    zz, yy, xx = np.meshgrid(np.arange(11), np.arange(14), np.arange(9), indexing="ij")
+    blob = 50.0 * np.exp(-(((xx - 4.0) ** 2 + (yy - 7.0) ** 2 + (zz - 5.0) ** 2) / 12.0))
+    spacing, origin = (1.1, 0.8, 1.7), (-3.0, 2.5, 7.0)
+    fixed = ImageVolume(blob + rng.normal(0, 1.0, blob.shape), spacing, origin)
+    moving = ImageVolume(np.roll(blob, 1, axis=2) + rng.normal(0, 1.0, blob.shape),
+                         spacing, origin)
+    return fixed, moving
+
+
+@pytest.mark.parametrize("pair", ["phantom", "anisotropic"])
+def test_register_dense_matches_oracle_bitwise(pair, small_phantom):
+    # the per-level hoisting and the kernels against the former per-step code
+    if pair == "phantom":
+        _, frames, _, _ = small_phantom
+        fixed, moving = frames[0], frames[2]
+    else:
+        fixed, moving = _anisotropic_pair()
+    cfg = RegistrationConfig(iterations=4, pyramid_levels=2, step_size=0.1)
+    history, ref_history = [], []
+    got = register_dense(fixed, moving, cfg, history)
+    ref = _oracles.register_dense(fixed, moving, cfg, ref_history)
+    assert np.abs(ref.u).max() > 0
+    _assert_bitwise(got.u, ref.u)
+    assert len(history) == 8 and history == ref_history
 
 
 def test_register_dense_recovers_small_translation():

@@ -188,10 +188,27 @@ def test_trilinear_gradient_matches_finite_differences():
 
 def test_trilinear_clamps_outside_with_zero_gradient():
     vol = ImageVolume(np.arange(27, dtype=float).reshape(3, 3, 3), (1, 1, 1))
-    far = np.array([[100.0, 100.0, 100.0], [-50.0, 0.0, 0.0]])
+    inf = np.inf
+    far = np.array([[100.0, 100.0, 100.0], [-50.0, 0.0, 0.0],
+                    [inf, inf, inf], [-inf, 0.0, 0.0], [1.0, -inf, inf]])
     vals, grad = sample_trilinear_with_gradient(vol, far)
-    assert vals[0] == 26.0  # corner value
-    assert np.all(grad == 0.0)
+    assert vals.tolist() == [26.0, 0.0, 26.0, 0.0, 19.0]  # the clamped grid values
+    assert np.all(grad[:4] == 0.0)
+    assert grad[4].tolist() == [1.0, 0.0, 0.0]  # x is inside, y and z are clamped
+
+
+@pytest.mark.parametrize("shape", [(4, 6, 8), (5, 7, 9)])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_trilinear_rejects_nan_points(shape, axis):
+    # a NaN index casts to INT_MIN, and on a flat index INT_MIN * ny wraps
+    # to 0 for even ny: unchecked, a NaN y or z would quietly read voxel 0
+    vol = ImageVolume(np.ones(shape), (1.0, 1.0, 1.0))
+    pts = np.full((2, 4, 3), 1.5)
+    pts[0, 1, axis] = np.nan
+    pts[1, 3] = np.nan
+    for want_gradient in (False, True):
+        with pytest.raises(VolumeError, match=r"^2 sample point\(s\) have a NaN coordinate$"):
+            volume._trilinear(vol, pts, want_gradient)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8])
@@ -217,6 +234,41 @@ def test_trilinear_matches_branching_oracle_bitwise(dtype, channels, shape, poin
             assert got[1].shape == ref[1].shape and got[1].tobytes() == ref[1].tobytes()
         else:
             assert got[1] is None and ref[1] is None
+
+
+@settings(max_examples=80)
+@given(st.tuples(*[st.integers(1, 6)] * 3), st.sampled_from([0, 1, 3]),
+       st.sampled_from([np.uint8, np.float32, np.float64]),
+       st.tuples(*[st.floats(0.05, 20.0)] * 3), st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+       st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_trilinear_matches_branching_oracle_on_random_grids(shape, channels, dtype, spacing,
+                                                            origin, n, seed):
+    # channels 0 is a scalar volume; points inside, on grid nodes and edges,
+    # and outside the grid, where the clamp is active
+    rng = np.random.default_rng(seed)
+    tail = (channels,) if channels else ()
+    data = rng.uniform(-1000.0, 1000.0, shape + tail)
+    if dtype is np.uint8:
+        data = np.abs(data) % 256
+    vol = ImageVolume(data.astype(dtype), spacing, origin)
+    lo = np.asarray(origin)
+    dims = np.asarray(vol.dims)
+    hi = lo + (dims - 1) * np.asarray(spacing)
+    span = hi - lo + 1.0
+    pts = rng.uniform(lo - span, hi + span, size=(n, 3))
+    kind = rng.integers(0, 4, size=n)
+    inside = kind == 0
+    pts[inside] = rng.uniform(lo, hi, size=(int(inside.sum()), 3))
+    node = kind == 1
+    pts[node] = lo + rng.integers(0, dims, size=(int(node.sum()), 3)) * np.asarray(spacing)
+    edge = kind == 2
+    pts[edge] = np.where(rng.integers(0, 2, size=(int(edge.sum()), 3)) == 1, hi, lo)
+    for want_gradient in (False, True):
+        got = volume._trilinear(vol, pts, want_gradient)
+        ref = _oracles.sample_trilinear_paths(vol, pts, want_gradient)
+        assert got[0].shape == ref[0].shape and got[0].tobytes() == ref[0].tobytes()
+        if want_gradient:
+            assert got[1].shape == ref[1].shape and got[1].tobytes() == ref[1].tobytes()
 
 
 _MHD_DTYPES = st.sampled_from([np.uint8, np.int16, np.float32])
