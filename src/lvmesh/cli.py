@@ -103,7 +103,7 @@ def cmd_decimate(args):
 def cmd_propagate_surface(args):
     surf = vtkio.read_polydata(args.surface)
     field = _read_field(args.field)
-    out = isosurface.propagate_surface(surf, field, frame_id=args.frame_id)
+    out = isosurface.propagate_surface(surf, field)
     vtkio.write_polydata(out, args.out)
     print(f"propagated surface written to {args.out}")
 
@@ -120,7 +120,7 @@ def cmd_tetmesh(args):
 def cmd_propagate_volume(args):
     mesh = vtkio.read_unstructured_grid(args.mesh)
     field = _read_field(args.field)
-    out = tetmesh.propagate_volume(mesh, field, frame_id=args.frame_id)
+    out = tetmesh.propagate_volume(mesh, field)
     vtkio.write_unstructured_grid(out, args.out)
     print(f"propagated mesh written to {args.out} "
           f"(min SJ {out.quality.min_scaled_jacobian:.4f})")
@@ -247,7 +247,6 @@ def build_parser():
     s = sub.add_parser("propagate-surface", help="move a surface through a field")
     s.add_argument("--surface", required=True)
     s.add_argument("--field", required=True)
-    s.add_argument("--frame-id", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_propagate_surface)
 
@@ -260,7 +259,6 @@ def build_parser():
     s = sub.add_parser("propagate-volume", help="move a tet mesh through a field")
     s.add_argument("--mesh", required=True)
     s.add_argument("--field", required=True)
-    s.add_argument("--frame-id", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_propagate_volume)
 

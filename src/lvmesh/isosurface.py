@@ -348,7 +348,7 @@ def _tri_normal(p0, p1, p2):
     return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
 
 
-def decimate(mesh: SurfaceMesh, target_vertex_count: int = 2500) -> SurfaceMesh:
+def decimate(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
     """Edge-collapse decimation ordered by quadric error.
 
     Collapses that would flip a surviving triangle's normal, create a

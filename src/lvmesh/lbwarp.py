@@ -46,9 +46,6 @@ class InteriorWeights:
     fixed_ids: np.ndarray
     matrix: sp.csr_matrix
 
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=1)).ravel()
-
     @cached_property
     def _system(self):
         """(A, LU factor of A, W_ib): the interior system ``A x = W_ib @ pos_b``

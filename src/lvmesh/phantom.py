@@ -20,7 +20,7 @@ import numpy as np
 from .volume import FrameSequence, ImageVolume, LabelVolume
 
 __all__ = ["PhantomSpec", "PhantomError", "generate", "inject_misalignment",
-           "myocardium_mask", "scale_factors", "analytic_field",
+           "translate_inplane", "myocardium_mask", "scale_factors", "analytic_field",
            "LABEL_RV_POOL", "LABEL_MYOCARDIUM", "LABEL_LV_POOL",
            "INTENSITY_MYOCARDIUM", "INTENSITY_POOL", "INTENSITY_BACKGROUND"]
 

@@ -16,7 +16,7 @@ import os
 import re
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -38,6 +38,29 @@ class PipelineError(Exception):
     pass
 
 
+def _require(cond: bool, message: str):
+    if not cond:
+        raise PipelineError(f"config error: {message}")
+
+
+@dataclass(frozen=True)
+class MeshConfig:
+    """Settings of the surface and tet-mesh stages; the one place their
+    defaults and ranges are set."""
+
+    resample_mm: float = 1.0  # slice thickness the labels are resampled to
+    iso_policy: str = "smooth"  # binary | smooth
+    target_vertices: int = 2000  # decimation target
+    max_tet_volume_mm3: float = 9.0
+
+    def __post_init__(self):
+        _require(self.resample_mm > 0, "mesh.resample_mm must be positive")
+        _require(self.iso_policy in ("binary", "smooth"),
+                 f"mesh.iso_policy must be 'binary' or 'smooth', got {self.iso_policy!r}")
+        _require(self.target_vertices >= 4, "mesh.target_vertices must be >= 4")
+        _require(self.max_tet_volume_mm3 > 0, "mesh.max_tet_volume_mm3 must be positive")
+
+
 DEFAULT_CONFIG = {
     "seed": 0,
     "phantom": {
@@ -52,31 +75,11 @@ DEFAULT_CONFIG = {
         "noise_sigma": 2.0,
         "misalign_amplitude_mm": 0.0,
     },
-    "register": {
-        "backend": "dense",
-        "lam": 0.001,
-        "iterations": 60,
-        "pyramid_levels": 3,
-        "step_size": 0.4,
-        "smooth_sigma_vox": 1.0,
-        "ffd_iterations": 500,
-        "ffd_samples": 2048,
-        "ffd_control_spacing_vox": 8.0,
-        "ffd_bending_weight": 0.01,
-        "pairings": ["fixed_reference"],
-    },
-    "mesh": {
-        "resample_mm": 1.0,
-        "iso_policy": "smooth",
-        "target_vertices": 2000,
-        "max_tet_volume_mm3": 9.0,
-    },
+    # RegistrationConfig.seed is derived from the root seed, not a config key
+    "register": {**{f.name: f.default for f in fields(RegistrationConfig) if f.name != "seed"},
+                 "pairings": ["fixed_reference"]},
+    "mesh": {f.name: f.default for f in fields(MeshConfig)},
 }
-
-
-def _require(cond: bool, message: str):
-    if not cond:
-        raise PipelineError(f"config error: {message}")
 
 
 def _typed(name: str, value, default):
@@ -93,26 +96,6 @@ def _typed(name: str, value, default):
     _require(isinstance(value, allowed) and not isinstance(value, bool),
              f"{name} must be of type {type(default).__name__}, got {value!r}")
     return type(default)(value)
-
-
-@dataclass(frozen=True)
-class MeshConfig:
-    """Settings of the surface and tet-mesh stages; the one place their ranges are checked.
-
-    Its values come from ``DEFAULT_CONFIG["mesh"]`` through ``validate_config``.
-    """
-
-    resample_mm: float  # slice thickness the labels are resampled to
-    iso_policy: str  # binary | smooth
-    target_vertices: int  # decimation target
-    max_tet_volume_mm3: float
-
-    def __post_init__(self):
-        _require(self.resample_mm > 0, "mesh.resample_mm must be positive")
-        _require(self.iso_policy in ("binary", "smooth"),
-                 f"mesh.iso_policy must be 'binary' or 'smooth', got {self.iso_policy!r}")
-        _require(self.target_vertices >= 4, "mesh.target_vertices must be >= 4")
-        _require(self.max_tet_volume_mm3 > 0, "mesh.max_tet_volume_mm3 must be positive")
 
 
 def stage_configs(cfg: dict) -> tuple[phantom.PhantomSpec, RegistrationConfig, MeshConfig]:
@@ -156,6 +139,8 @@ def validate_config(cfg: dict) -> dict:
              and all(p in ("fixed_reference", "sequential") for p in pairings),
              "register.pairings must be a non-empty list drawn from "
              "['fixed_reference', 'sequential']")
+    for i, p in enumerate(pairings):
+        _require(p not in pairings[:i], f"register.pairings lists {p!r} more than once")
     out["register"]["pairings"] = list(pairings)
     try:
         stage_configs(out)

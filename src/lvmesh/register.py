@@ -29,15 +29,19 @@ __all__ = [
     "FfdTransform",
     "RegistrationConfig",
     "RegistrationError",
-    "loss_dense",
     "grad_dense",
     "register_dense",
+    "make_lattice",
+    "evaluate_ffd",
+    "bending_energy",
     "register_ffd",
     "to_dense",
     "register_sequence",
     "compose_fields",
-    "warp_image",
 ]
+
+# FFD step schedule a / (t + 1 + A)^alpha, mm
+_STEP_A, _STEP_OFFSET, _STEP_DECAY = 5.0, 20.0, 0.602
 
 
 class RegistrationError(Exception):
@@ -73,7 +77,7 @@ class DisplacementField:
 
 @dataclass
 class RegistrationConfig:
-    """Settings of both backends; the one place their ranges are checked."""
+    """Settings of both backends; the one place their defaults and ranges are set."""
 
     backend: str = "dense"  # dense | ffd
     lam: float = 1e-3  # smoothness weight in the dense loss
@@ -82,9 +86,6 @@ class RegistrationConfig:
     step_size: float = 0.4  # dense Adam step, mm
     ffd_iterations: int = 500  # ffd: total iterations
     ffd_samples: int = 2048
-    ffd_a: float = 5.0  # step schedule a / (t + 1 + A)^alpha, mm
-    ffd_A: float = 20.0
-    ffd_alpha: float = 0.602
     ffd_control_spacing_vox: float = 8.0
     ffd_bending_weight: float = 0.01
     smooth_sigma_vox: float = 1.0  # Gaussian prefilter on normalized intensities
@@ -96,11 +97,10 @@ class RegistrationConfig:
         for name in ("iterations", "pyramid_levels", "ffd_iterations", "ffd_samples"):
             if getattr(self, name) < 1:
                 raise RegistrationError(f"{name} must be at least 1")
-        for name in ("step_size", "ffd_control_spacing_vox", "ffd_a"):
+        for name in ("step_size", "ffd_control_spacing_vox"):
             if not getattr(self, name) > 0:
                 raise RegistrationError(f"{name} must be positive")
-        for name in ("lam", "smooth_sigma_vox", "ffd_bending_weight", "ffd_A", "ffd_alpha",
-                     "seed"):
+        for name in ("lam", "smooth_sigma_vox", "ffd_bending_weight", "seed"):
             if not getattr(self, name) >= 0:
                 raise RegistrationError(f"{name} must be non-negative")
 
@@ -134,17 +134,13 @@ def _laplacian(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def loss_dense(fixed: ImageVolume, moving: ImageVolume, u: np.ndarray, lam: float):
-    """Eq-style dense loss: (total, similarity, smoothness).
+def grad_dense(fixed: ImageVolume, moving: ImageVolume, u: np.ndarray, lam: float):
+    """Dense loss and its analytic gradient w.r.t. u: ((total, similarity,
+    smoothness), grad).
 
     similarity = mean over fixed voxels of (fixed(x) - moving(x + u(x)))^2,
     smoothness = mean over voxels and components of (Laplacian u)^2.
     """
-    return grad_dense(fixed, moving, u, lam)[0]
-
-
-def grad_dense(fixed: ImageVolume, moving: ImageVolume, u: np.ndarray, lam: float):
-    """``loss_dense`` and its analytic gradient w.r.t. u: (loss_tuple, grad)."""
     centers, fixed_data, u = _dense_inputs(fixed, moving, u)
     return _objective(centers, fixed_data, moving, u, lam)
 
@@ -264,7 +260,7 @@ def _adam_minimize(fx, mv, u, config: RegistrationConfig, level: int, history: l
     centers, fixed_data, u = _dense_inputs(fx, mv, u)
     m = np.zeros_like(u)
     v = np.zeros_like(u)
-    best_u, best_loss = u.copy(), np.inf
+    best_u, best_loss = u, np.inf
     for it in range(config.iterations):
         (total, sim, smooth), g = _objective(centers, fixed_data, mv, u, config.lam)
         if not np.isfinite(total):
@@ -272,7 +268,7 @@ def _adam_minimize(fx, mv, u, config: RegistrationConfig, level: int, history: l
         if history is not None:
             history.append((level, it, total, sim, smooth))
         if total < best_loss:
-            best_loss, best_u = total, u.copy()
+            best_loss, best_u = total, u
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * g * g
         mh = m / (1 - beta1 ** (it + 1))
@@ -485,7 +481,7 @@ def register_ffd(fixed: ImageVolume, moving: ImageVolume, config: RegistrationCo
             g += config.ffd_bending_weight * gb
         gmax = np.abs(g).max()
         if gmax > 0:
-            step = config.ffd_a / (it + 1 + config.ffd_A) ** config.ffd_alpha
+            step = _STEP_A / (it + 1 + _STEP_OFFSET) ** _STEP_DECAY
             coeffs = coeffs - step * g / gmax
     return replace(ffd, coeffs=coeffs)
 
@@ -500,7 +496,7 @@ def to_dense(ffd: FfdTransform) -> DisplacementField:
 
 
 # ---------------------------------------------------------------------------
-# sequences, composition, warping
+# sequences and composition
 
 
 def register_sequence(frames, config: RegistrationConfig | None = None,
@@ -534,12 +530,3 @@ def compose_fields(f_ab: DisplacementField, f_bc: DisplacementField) -> Displace
     u = f_ab.u + f_bc.sample(pts + f_ab.u)
     return DisplacementField(u, f_ab.spacing, f_ab.origin)
 
-
-def warp_image(moving: ImageVolume, field: DisplacementField) -> ImageVolume:
-    """Pull-back warp: out(x) = moving(x + u(x)), trilinear, edge-clamped."""
-    grid = field.as_volume()
-    if moving.data.shape[:3] != grid.data.shape[:3]:
-        raise RegistrationError("field grid does not match the moving image")
-    pts = grid.voxel_centers() + field.u
-    data = sample_trilinear(moving, pts).astype(np.float32)
-    return ImageVolume(data, field.spacing, field.origin)

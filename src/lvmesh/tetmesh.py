@@ -26,6 +26,7 @@ __all__ = [
     "TetMeshError",
     "tetrahedralize",
     "scaled_jacobian",
+    "scaled_jacobian_many",
     "radius_edge",
     "radius_edge_many",
     "assess",
@@ -76,9 +77,6 @@ class TetMesh:
         key = np.sort(faces, axis=1)
         _, inv, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
         return faces[counts[inv] == 1]
-
-    def boundary_vertices(self) -> np.ndarray:
-        return np.unique(self.boundary_faces().ravel())
 
 
 @dataclass
@@ -176,7 +174,7 @@ def _bcc_lattice(lo, hi, h):
     return np.concatenate([g, centers])
 
 
-def tetrahedralize(surface: SurfaceMesh, max_volume_mm3: float = 9.0) -> TetMesh:
+def tetrahedralize(surface: SurfaceMesh, max_volume_mm3: float) -> TetMesh:
     """Delaunay mesh of the surface interior with BCC Steiner points.
 
     Steiner spacing h = (6 * max_volume)^(1/3); lattice points closer than

@@ -12,11 +12,11 @@ from .isosurface import SurfaceMesh
 from .tetmesh import TetMesh
 
 __all__ = [
+    "VtkIoError",
     "write_polydata",
     "read_polydata",
     "write_unstructured_grid",
     "read_unstructured_grid",
-    "write_ply",
 ]
 
 
@@ -34,12 +34,11 @@ def _rows(fmt: str, a: np.ndarray) -> str:
     return (fmt * len(a)) % tuple(a.ravel().tolist())
 
 
-def write_polydata(mesh: SurfaceMesh, path: str, comment: str = "surface") -> None:
+def write_polydata(mesh: SurfaceMesh, path: str) -> None:
     v = mesh.vertices
     t = mesh.triangles
     text = [
-        "# vtk DataFile Version 3.0\n",
-        comment + "\n",
+        "# vtk DataFile Version 3.0\nsurface\n",
         "ASCII\nDATASET POLYDATA\n",
         f"POINTS {len(v)} float\n",
         _rows("%.9g %.9g %.9g\n", v),
@@ -68,12 +67,11 @@ def read_polydata(path: str) -> SurfaceMesh:
     return SurfaceMesh(coords, cells[:, 1:])
 
 
-def write_unstructured_grid(mesh: TetMesh, path: str, comment: str = "tetmesh") -> None:
+def write_unstructured_grid(mesh: TetMesh, path: str) -> None:
     v = mesh.vertices
     t = mesh.tets
     text = [
-        "# vtk DataFile Version 3.0\n",
-        comment + "\n",
+        "# vtk DataFile Version 3.0\ntetmesh\n",
         "ASCII\nDATASET UNSTRUCTURED_GRID\n",
         f"POINTS {len(v)} float\n",
         _rows("%.9g %.9g %.9g\n", v),
@@ -136,18 +134,3 @@ def read_unstructured_grid(path: str) -> TetMesh:
         boundary_map[sidx[mapped]] = np.nonzero(mapped)[0]
     return TetMesh(coords, cells[:, 1:], boundary_map)
 
-
-def write_ply(mesh: SurfaceMesh, path: str) -> None:
-    v = mesh.vertices
-    t = mesh.triangles
-    text = [
-        "ply\nformat ascii 1.0\n",
-        f"element vertex {len(v)}\n",
-        "property float x\nproperty float y\nproperty float z\n",
-        f"element face {len(t)}\n",
-        "property list uchar int vertex_indices\nend_header\n",
-        _rows("%.9g %.9g %.9g\n", v),
-        _rows("3 %d %d %d\n", t),
-    ]
-    with open(path, "w") as fh:
-        fh.write("".join(text))

@@ -267,7 +267,7 @@ def _optimal_position(Q, va, vb):
     return bx
 
 
-def decimate(mesh: SurfaceMesh, target_vertex_count: int = 2500) -> SurfaceMesh:
+def decimate(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
     """Edge-collapse decimation ordered by quadric error.
 
     Collapses that would flip a surviving triangle's normal, create a
@@ -381,7 +381,7 @@ def decimate(mesh: SurfaceMesh, target_vertex_count: int = 2500) -> SurfaceMesh:
 
 
 # ---------------------------------------------------------------------------
-# VTK/PLY writers as first written: one ``write`` per line.  The library's
+# VTK writers as first written: one ``write`` per line.  The library's
 # writers must produce byte-identical files.
 
 
@@ -389,12 +389,12 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def write_polydata(mesh: SurfaceMesh, path: str, comment: str = "surface") -> None:
+def write_polydata(mesh: SurfaceMesh, path: str) -> None:
     v = mesh.vertices
     t = mesh.triangles
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(comment + "\n")
+        fh.write("surface\n")
         fh.write("ASCII\nDATASET POLYDATA\n")
         fh.write(f"POINTS {len(v)} float\n")
         for p in v:
@@ -404,12 +404,12 @@ def write_polydata(mesh: SurfaceMesh, path: str, comment: str = "surface") -> No
             fh.write(f"3 {a} {b} {c}\n")
 
 
-def write_unstructured_grid(mesh: TetMesh, path: str, comment: str = "tetmesh") -> None:
+def write_unstructured_grid(mesh: TetMesh, path: str) -> None:
     v = mesh.vertices
     t = mesh.tets
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(comment + "\n")
+        fh.write("tetmesh\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {len(v)} float\n")
         for p in v:
@@ -432,21 +432,6 @@ def write_unstructured_grid(mesh: TetMesh, path: str, comment: str = "tetmesh") 
             fh.write(f"POINT_DATA {len(v)}\n")
             fh.write("SCALARS surface_index int 1\nLOOKUP_TABLE default\n")
             fh.write("\n".join(str(s) for s in sidx) + "\n")
-
-
-def write_ply(mesh: SurfaceMesh, path: str) -> None:
-    v = mesh.vertices
-    t = mesh.triangles
-    with open(path, "w") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {len(v)}\n")
-        fh.write("property float x\nproperty float y\nproperty float z\n")
-        fh.write(f"element face {len(t)}\n")
-        fh.write("property list uchar int vertex_indices\nend_header\n")
-        for p in v:
-            fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
-        for a, b, c in t:
-            fh.write(f"3 {a} {b} {c}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +586,7 @@ def register_ffd(fixed: ImageVolume, moving: ImageVolume, config: RegistrationCo
             g += config.ffd_bending_weight * gb
         gmax = np.abs(g).max()
         if gmax > 0:
-            step = config.ffd_a / (it + 1 + config.ffd_A) ** config.ffd_alpha
+            step = 5.0 / (it + 1 + 20.0) ** 0.602
             coeffs = coeffs - step * g / gmax
     return replace(ffd, coeffs=coeffs)
 

@@ -113,8 +113,8 @@ def test_criterion_2_loss_correctness():
             up, um = u.copy(), u.copy()
             up[z, y, x, c] += h
             um[z, y, x, c] -= h
-            fd = (register.loss_dense(fixed, moving, up, 1e-3)[0]
-                  - register.loss_dense(fixed, moving, um, 1e-3)[0]) / (2 * h)
+            fd = (register.grad_dense(fixed, moving, up, 1e-3)[0][0]
+                  - register.grad_dense(fixed, moving, um, 1e-3)[0][0]) / (2 * h)
             denom = max(abs(fd), abs(g[z, y, x, c]), 1e-8)
             assert abs(fd - g[z, y, x, c]) / denom < 1e-4
 

@@ -201,7 +201,7 @@ def test_register_and_propagate_cli(dataset, config, tmp_path):
           "--labels", os.path.join(dataset, "labels_00.mhd"), "--out", surf_path])
     moved = str(tmp_path / "moved.vtk")
     rc = main(["propagate-surface", "--surface", surf_path, "--field", field_path,
-               "--frame-id", "1", "--out", moved])
+               "--out", moved])
     assert rc == 0
     a = read_polydata(surf_path)
     b = read_polydata(moved)

@@ -32,12 +32,12 @@ def test_weights_closed_form():
     expect = (1.0 / d) / (1.0 / d).sum()
     np.testing.assert_allclose(row[:4], expect, rtol=1e-12)
     assert row[4] == 0.0
-    np.testing.assert_allclose(w.row_sums(), 1.0, atol=1e-12)
+    np.testing.assert_allclose(w.matrix.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_weight_rows_sum_to_one(ed_tetmesh):
     w = compute_weights(ed_tetmesh)
-    np.testing.assert_allclose(w.row_sums(), 1.0, atol=1e-12)
+    np.testing.assert_allclose(w.matrix.sum(axis=1), 1.0, atol=1e-12)
     # positive weights only
     assert w.matrix.data.min() > 0
 

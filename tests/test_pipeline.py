@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 
 import pytest
 import yaml
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lvmesh import pipeline
-from lvmesh.pipeline import (DEFAULT_CONFIG, PipelineError, load_config, run, report,
-                             validate_config)
+from lvmesh.pipeline import (DEFAULT_CONFIG, MeshConfig, PipelineError, load_config, run,
+                             report, stage_configs, validate_config)
 from lvmesh.register import RegistrationConfig
 
 FAST_CONFIG = {
@@ -103,6 +104,27 @@ def test_default_register_section_is_registration_config_defaults():
     for key, value in DEFAULT_CONFIG["register"].items():
         if key != "pairings":
             assert value == fields[key], key
+
+
+def test_default_mesh_section_is_mesh_config_defaults():
+    fields = {f.name: f.default for f in dataclasses.fields(MeshConfig)}
+    assert DEFAULT_CONFIG["mesh"] == fields
+    assert stage_configs(validate_config({}))[2] == MeshConfig()
+
+
+def test_readme_config_block_is_the_defaults(tmp_path):
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        (block,) = re.findall(r"```yaml\n(.*?)```", fh.read(), re.S)
+    path = tmp_path / "readme.yaml"
+    path.write_text(block)
+    assert load_config(str(path)) == validate_config({})
+
+
+def test_validate_rejects_repeated_pairings():
+    for pairings in (["fixed_reference", "fixed_reference"],
+                     ["sequential", "fixed_reference", "sequential"]):
+        with pytest.raises(PipelineError, match=r"register\.pairings lists '\w+' more than once"):
+            validate_config({"register": {"pairings": pairings}})
 
 
 @settings(max_examples=100)

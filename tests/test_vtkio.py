@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 import _oracles
-from lvmesh import vtkio
 from lvmesh.isosurface import SurfaceMesh
 from lvmesh.tetmesh import TetMesh, assess
 from lvmesh.vtkio import (
     VtkIoError,
     read_polydata,
     read_unstructured_grid,
-    write_ply,
     write_polydata,
     write_unstructured_grid,
 )
@@ -139,16 +137,6 @@ def test_polydata_rejects_non_triangles(tmp_path):
         read_polydata(str(p))
 
 
-def test_ply_output(tmp_path):
-    surf = _surface()
-    path = tmp_path / "s.ply"
-    write_ply(surf, str(path))
-    text = path.read_text()
-    assert text.startswith("ply\nformat ascii 1.0\n")
-    assert f"element vertex {surf.n_vertices}" in text
-    assert f"element face {len(surf.triangles)}" in text
-
-
 # coordinates whose %.9g text is easy to get wrong: signed zero, tiny and
 # large magnitudes, values that need all nine digits
 _ODD = np.array([
@@ -178,11 +166,10 @@ def _assert_same_file(tmp_path, write, write_ref, mesh):
     assert got.read_bytes() == ref.read_bytes()
 
 
-@pytest.mark.parametrize("name", ["write_polydata", "write_ply"])
-def test_surface_writers_match_oracle_bytes(tmp_path, ed_surface, name):
+def test_polydata_writer_matches_oracle_bytes(tmp_path, ed_surface):
     empty = SurfaceMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))
     for surf in (_surface(), _odd_surface(), _random_scale_surface(), ed_surface, empty):
-        _assert_same_file(tmp_path, getattr(vtkio, name), getattr(_oracles, name), surf)
+        _assert_same_file(tmp_path, write_polydata, _oracles.write_polydata, surf)
 
 
 def test_unstructured_grid_writer_matches_oracle_bytes(tmp_path, ed_tetmesh):
