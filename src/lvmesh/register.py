@@ -326,23 +326,32 @@ def _bspline_basis_d2(t: np.ndarray):
 
 
 def make_lattice(fixed: ImageVolume, control_spacing_vox: float) -> FfdTransform:
+    """Zero lattice with one node before the grid and at least 5 per axis.
+
+    A single-voxel axis spans no cells; it gets one, so that its support
+    nodes (j - 1 .. j + 2 with j = 1) all exist.
+    """
     nx, ny, nz = fixed.dims
     sx, sy, sz = fixed.spacing
     delta = (control_spacing_vox * sx, control_spacing_vox * sy, control_spacing_vox * sz)
     extents = ((nx - 1) * sx, (ny - 1) * sy, (nz - 1) * sz)
-    counts = [int(np.ceil(e / d)) + 4 for e, d in zip(extents, delta)]
+    counts = [max(int(np.ceil(e / d)), 1) + 4 for e, d in zip(extents, delta)]
     origin = tuple(o - d for o, d in zip(fixed.origin, delta))
     coeffs = np.zeros((counts[2], counts[1], counts[0], 3))
     return FfdTransform(coeffs, origin, delta, (nx, ny, nz), fixed.spacing, fixed.origin)
 
 
-def _lattice_coords(ffd: FfdTransform, pts: np.ndarray):
-    e = (pts - np.asarray(ffd.lattice_origin)) / np.asarray(ffd.lattice_spacing)
-    ncx, ncy, ncz = ffd.lattice_dims
-    hi = np.array([ncx, ncy, ncz], dtype=np.float64) - 3.0
-    e = np.clip(e, 1.0, hi - 1e-9)
+def _cell_coords(x, origin, spacing, n_nodes):
+    """Support cell j and fraction t of coordinates x on lattice axes; the
+    arguments broadcast, so this serves (N, 3) points and one axis alike."""
+    e = np.clip((x - origin) / spacing, 1.0, n_nodes - 3.0 - 1e-9)
     j = np.floor(e).astype(np.intp)
     return j, e - j
+
+
+def _lattice_coords(ffd: FfdTransform, pts: np.ndarray):
+    return _cell_coords(pts, np.asarray(ffd.lattice_origin), np.asarray(ffd.lattice_spacing),
+                        np.asarray(ffd.lattice_dims, dtype=np.float64))
 
 
 def _first_node(ffd: FfdTransform, j: np.ndarray):
@@ -415,14 +424,23 @@ def _bending(ffd: FfdTransform, t, b0, index, values):
     """``bending_energy`` from shared sample arrays.  The 64 support values
     of each point serve all six derivative pairs, and each pair's gradient
     is one scatter whose sums run in the same order as a loop over offsets,
-    then points."""
+    then points.
+
+    Each scatter is an ``np.bincount`` whose first ``size`` entries are the
+    running gradient, bin i taking entry i: every bin starts from its
+    running sum and adds the pair's terms in order, as ``np.add.at`` would.
+    """
     b1 = (_bspline_basis_d1(t[:, 0]), _bspline_basis_d1(t[:, 1]), _bspline_basis_d1(t[:, 2]))
     b2 = (_bspline_basis_d2(t[:, 0]), _bspline_basis_d2(t[:, 1]), _bspline_basis_d2(t[:, 2]))
     scale = [1.0 / d for d in ffd.lattice_spacing]
 
     n = t.shape[0]
+    size = ffd.coeffs.size
     energy = 0.0
-    grad = np.zeros_like(ffd.coeffs, order="C")
+    grad = np.zeros(size)
+    rows = np.concatenate([np.arange(size), index.ravel()])
+    terms = np.empty(rows.size)
+    products = terms[size:].reshape(index.shape)  # (64, 3, n) scratch
     pairs = [(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (0, 1, 2.0), (0, 2, 2.0), (1, 2, 2.0)]
     for a, b, mult in pairs:
         order = [0, 0, 0]
@@ -433,14 +451,17 @@ def _bending(ffd: FfdTransform, t, b0, index, values):
         w = _weights(*tabs)[:, None, :]
         # accumulate second derivative vector at each sample point
         d2 = np.zeros((3, n))
-        for term in w * values:
+        for term in np.multiply(w, values, out=products):
             d2 += term
         d2 *= s
         per_point = np.ascontiguousarray(d2.T)  # (n, 3): the row sums keep their order
         energy += mult * float(np.mean(np.sum(per_point * per_point, axis=1)))
         coef = (mult * 2.0 / n) * s
-        np.add.at(grad.reshape(-1), index.ravel(), (w * d2 * coef).ravel())
-    return energy, grad
+        np.multiply(w, d2, out=products)
+        products *= coef
+        terms[:size] = grad
+        grad = np.bincount(rows, terms, minlength=size)
+    return energy, grad.reshape(ffd.coeffs.shape)
 
 
 def register_ffd(fixed: ImageVolume, moving: ImageVolume, config: RegistrationConfig | None = None) -> FfdTransform:
@@ -486,12 +507,35 @@ def register_ffd(fixed: ImageVolume, moving: ImageVolume, config: RegistrationCo
     return replace(ffd, coeffs=coeffs)
 
 
+def _axis_basis(ffd: FfdTransform, axis: int) -> np.ndarray:
+    """Banded (n, nc) matrix of the cubic basis at the grid's voxel centers
+    along one axis: row i holds the four weights of voxel i at its support
+    nodes.  Its (j, t) are ``evaluate_ffd``'s at ``voxel_centers()``, bit for bit."""
+    n, o, s = ffd.grid_dims[axis], ffd.grid_origin[axis], ffd.grid_spacing[axis]
+    nc = ffd.lattice_dims[axis]
+    x = np.asarray(o + s * np.arange(n), dtype=np.float64)
+    j, t = _cell_coords(x, ffd.lattice_origin[axis], ffd.lattice_spacing[axis], float(nc))
+    basis = np.zeros((n, nc))
+    for k, b in enumerate(_bspline_basis(t)):
+        basis[np.arange(n), j - 1 + k] = b
+    return basis
+
+
 def to_dense(ffd: FfdTransform) -> DisplacementField:
-    """Evaluate the B-spline at every fixed-grid voxel center."""
+    """Evaluate the B-spline at every fixed-grid voxel center.
+
+    The basis factors per axis on the grid, so ``coeffs`` (ncz, ncy, ncx, 3)
+    is contracted with the x, then the y, then the z basis matrix.  That
+    sums in another order than ``evaluate_ffd``'s 64-term loop; both are
+    convex combinations of at most 64 coefficients, so the two differ by at
+    most ``128 * eps * max|coeffs|``.
+    """
     nx, ny, nz = ffd.grid_dims
-    carrier = ImageVolume(np.zeros((nz, ny, nx)), ffd.grid_spacing, ffd.grid_origin)
-    pts = carrier.voxel_centers().reshape(-1, 3)
-    u = evaluate_ffd(ffd, pts).reshape(nz, ny, nx, 3)
+    ncx, ncy, ncz = ffd.lattice_dims
+    bx, by, bz = (_axis_basis(ffd, axis) for axis in range(3))
+    u = bx @ ffd.coeffs  # (ncz, ncy, nx, 3)
+    u = by @ u.reshape(ncz, ncy, nx * 3)  # (ncz, ny, nx * 3)
+    u = (bz @ u.reshape(ncz, ny * nx * 3)).reshape(nz, ny, nx, 3)
     return DisplacementField(u, ffd.grid_spacing, ffd.grid_origin)
 
 

@@ -352,6 +352,20 @@ def _assert_bitwise(got, ref):
     assert np.asarray(got, dtype=np.float64).tobytes() == np.asarray(ref, dtype=np.float64).tobytes()
 
 
+def _assert_within_convex_bound(got, ref, coeffs):
+    """Two float64 evaluations of one B-spline field agree to within
+    128 * eps * max|coeffs|.
+
+    Each is a combination of at most 64 coefficients with weights >= 0 that
+    sum to 1, so every partial sum is at most max|coeffs|.  One evaluation
+    rounds at most 63 partial sums, each by eps/2 * max|coeffs|, and its
+    products by eps/2 relative to terms whose sizes sum to max|coeffs|; that
+    keeps it within 64 * eps * max|coeffs| of the exact sum, and two
+    evaluations that sum in different orders within twice that."""
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 128 * np.finfo(np.float64).eps * np.abs(coeffs).max()
+
+
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3])
 @pytest.mark.parametrize("lattice", FFD_LATTICES)
 def test_ffd_kernels_match_oracle_bitwise(lattice, scale):
@@ -368,7 +382,7 @@ def test_ffd_kernels_match_oracle_bitwise(lattice, scale):
         _assert_bitwise(g, g_ref)
         clamped += _n_clamped(ffd, pts)
     assert 0 < clamped < 2056
-    _assert_bitwise(to_dense(ffd).u, _oracles.to_dense(ffd).u)
+    _assert_within_convex_bound(to_dense(ffd).u, _oracles.to_dense(ffd).u, ffd.coeffs)
 
 
 @pytest.mark.parametrize("bending", [0.0, 0.01])
@@ -384,15 +398,20 @@ def test_register_ffd_matches_oracle_bitwise(bending, samples):
     ref = _oracles.register_ffd(fixed, moving, cfg)
     assert np.abs(ref.coeffs).max() > 0
     _assert_bitwise(got.coeffs, ref.coeffs)
-    _assert_bitwise(to_dense(got).u, _oracles.to_dense(ref).u)
+    _assert_within_convex_bound(to_dense(got).u, _oracles.to_dense(ref).u, ref.coeffs)
 
 
-_LATTICE_CASES = st.tuples(
-    st.tuples(*[st.integers(4, 14)] * 3),
-    st.tuples(*[st.floats(0.5, 2.5)] * 3),
-    st.tuples(*[st.floats(-10.0, 10.0)] * 3),
-    st.sampled_from([2.5, 3.0, 4.0, 5.5, 8.0]),
-)
+def _lattice_cases(min_dim):
+    """Grids of min_dim..14 voxels per axis, as FFD_LATTICES entries."""
+    return st.tuples(
+        st.tuples(*[st.integers(min_dim, 14)] * 3),
+        st.tuples(*[st.floats(0.5, 2.5)] * 3),
+        st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+        st.sampled_from([2.5, 3.0, 4.0, 5.5, 8.0]),
+    )
+
+
+_LATTICE_CASES = _lattice_cases(4)
 
 
 @settings(max_examples=40)
@@ -420,6 +439,54 @@ def test_ffd_kernels_match_oracle_on_random_lattices(lattice, n, log_scale, seed
     e, g = bending_energy(affine, pts)
     assert e < 1e-20
     assert np.abs(g).max() < 1e-10
+
+
+def _affine_lattice(ffd, A, b):
+    """``ffd`` with each node's coefficients the affine map at the node."""
+    axes = [ffd.lattice_origin[k] + np.arange(c) * ffd.lattice_spacing[k]
+            for k, c in enumerate(ffd.lattice_dims)]
+    zz, yy, xx = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
+    return dataclasses.replace(ffd, coeffs=np.stack([xx, yy, zz], axis=-1) @ A.T + b)
+
+
+@settings(max_examples=40)
+@given(_lattice_cases(1), st.floats(-6.0, 3.0), st.integers(0, 2**32 - 1))
+def test_to_dense_matches_pointwise_evaluation(lattice, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    dims, spacing, origin, _ = lattice
+    ffd = _ffd_lattice(*lattice)
+    ffd = dataclasses.replace(
+        ffd, coeffs=10.0 ** log_scale * rng.standard_normal(ffd.coeffs.shape))
+    centers = ImageVolume(np.zeros(dims[::-1]), spacing, origin).voxel_centers()
+    ref = evaluate_ffd(ffd, centers.reshape(-1, 3)).reshape(centers.shape)
+    _assert_within_convex_bound(to_dense(ffd).u, ref, ffd.coeffs)
+
+    # linear precision: an affine lattice evaluates to its affine map, but
+    # for voxels on a far edge that falls on a knot, which the lattice clamp
+    # moves 1e-9 cells inward
+    A = rng.uniform(-0.2, 0.2, size=(3, 3))
+    b = rng.uniform(-1.0, 1.0, size=3)
+    clamp = 1e-9 * max(ffd.lattice_spacing) * np.abs(A).sum(axis=1).max()
+    np.testing.assert_allclose(to_dense(_affine_lattice(ffd, A, b)).u, centers @ A.T + b,
+                               rtol=0, atol=1e-12 + clamp)
+
+
+def test_ffd_on_a_single_slice():
+    # a one-voxel axis still has all four support nodes of its voxels
+    rng = np.random.default_rng(13)
+    shape = (1, 12, 12)
+    fixed = ImageVolume(rng.standard_normal(shape), (1.0, 1.2, 2.0), (1.0, -2.0, 3.0))
+    moving = ImageVolume(rng.standard_normal(shape), (1.0, 1.2, 2.0), (1.0, -2.0, 3.0))
+    cfg = RegistrationConfig(backend="ffd", ffd_iterations=4, ffd_samples=256,
+                             ffd_control_spacing_vox=4.0, seed=5)
+    ffd = register_ffd(fixed, moving, cfg)
+    assert ffd.lattice_dims == (7, 7, 5)
+    assert np.abs(ffd.coeffs).max() > 0
+
+    A = np.array([[0.1, 0.02, 0.05], [0.0, -0.05, 0.01], [0.03, 0.0, 0.08]])
+    b = np.array([0.5, -0.2, 0.1])
+    np.testing.assert_allclose(to_dense(_affine_lattice(ffd, A, b)).u,
+                               fixed.voxel_centers() @ A.T + b, rtol=0, atol=1e-12)
 
 
 def test_register_ffd_recovers_translation():
