@@ -76,10 +76,9 @@ def cmd_register(args):
         for t, (field, losses) in enumerate(zip(fields, history), start=1):
             write_mhd(pipeline.field_volume(field),
                       os.path.join(args.out, f"field_{pairing}_{t:02d}.mhd"))
-            if losses:
-                pipeline.write_csv_rows(
-                    os.path.join(args.out, f"loss_{pairing}_{t:02d}.csv"),
-                    ["level", "iteration", "total", "similarity", "smoothness"], losses)
+            pipeline.write_csv_rows(
+                os.path.join(args.out, f"loss_{pairing}_{t:02d}.csv"),
+                ["level", "iteration", "total", "similarity", "smoothness"], losses)
         print(f"{pairing}: {len(fields)} fields written")
 
 

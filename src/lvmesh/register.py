@@ -363,23 +363,6 @@ def _first_node(ffd: FfdTransform, j: np.ndarray):
     return first, (lz * ncy + ly) * ncx + lx
 
 
-def _support(ffd: FfdTransform, j: np.ndarray) -> np.ndarray:
-    """Indices into ``coeffs.reshape(-1)`` of the 3 components of the 64
-    nodes supporting each point: (64, 3, n), nodes in (lz, ly, lx) order and
-    points last so that every loop runs along n.  Node (lz, ly, lx) is row
-    ``((j_z-1+lz)*ncy + (j_y-1+ly))*ncx + (j_x-1+lx)`` of ``reshape(-1, 3)``."""
-    first, offsets = _first_node(ffd, j)
-    rows = first + offsets.reshape(64, 1)
-    return rows[:, None, :] * 3 + np.arange(3)[:, None]
-
-
-def _weights(tx, ty, tz) -> np.ndarray:
-    """Tensor-product weights ``(tz[lz] * ty[ly]) * tx[lx]``: (64, n), in
-    (lz, ly, lx) order, from three 4-tuples of per-point basis values."""
-    tx, ty, tz = np.asarray(tx), np.asarray(ty), np.asarray(tz)
-    return ((tz[:, None, None] * ty[None, :, None]) * tx[None, None, :]).reshape(64, -1)
-
-
 def evaluate_ffd(ffd: FfdTransform, pts: np.ndarray) -> np.ndarray:
     """Displacement (mm) of the B-spline transform at physical points (N, 3)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
@@ -400,111 +383,141 @@ def evaluate_ffd(ffd: FfdTransform, pts: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.T)
 
 
-def _sample_support(ffd: FfdTransform, coeffs: np.ndarray, pts: np.ndarray):
-    """What the FFD data term and bending energy share at sample points:
-    fractional lattice coords t, the three per-axis cubic bases, the
-    (64, 3, n) support indices and the coefficient values at them."""
+# (a, b, multiplicity) of the six second-derivative pairs of the bending energy
+_PAIRS = ((0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (0, 1, 2.0), (0, 2, 2.0), (1, 2, 2.0))
+
+
+def _work_array(scratch: dict | None, name: str, shape, dtype=np.float64) -> np.ndarray:
+    """``scratch[name]``, made on first use, or a fresh array without ``scratch``."""
+    if scratch is None:
+        return np.empty(shape, dtype)
+    if name not in scratch:
+        scratch[name] = np.empty(shape, dtype)
+    return scratch[name]
+
+
+def _ffd_objective(ffd: FfdTransform, pts: np.ndarray, bending_weight: float,
+                   images=None, energy: bool = False, scratch: dict | None = None):
+    """The FFD loss at sample points and its gradient w.r.t. ``ffd.coeffs``:
+    (sim, bending, grad), grad being that of ``sim + bending_weight * bending``.
+
+    sim is the mean over points of (moving(x + u(x)) - fixed(x))^2 for
+    ``images = (fixed, moving)``, and 0 without images.  bending is the mean
+    over points of the squared second derivatives (the six pairs, mixed ones
+    twice); it is computed only when ``energy`` is set, and None otherwise.
+
+    The basis factors per axis, so the 64 support values of each point are
+    contracted with the x basis (orders 0, 1, 2), the results with the y
+    basis, then with the z basis: one batched matmul per axis, each a sum of
+    4 products.  That yields the displacement (orders 0, 0, 0) and the six
+    second derivatives together.  The gradient runs the same matmuls
+    backward, z, then y, then x, into one (n, 192) array of support terms,
+    which one ``np.bincount`` scatters onto the coefficients.  ``scratch``,
+    kept by the caller from call to call, holds the work arrays: for n = 2048
+    fresh ones cost more in page faults than the arithmetic done in them.
+    """
+    n = pts.shape[0]
     j, t = _lattice_coords(ffd, pts)
-    b0 = (_bspline_basis(t[:, 0]), _bspline_basis(t[:, 1]), _bspline_basis(t[:, 2]))
-    index = _support(ffd, j)
-    return t, b0, index, coeffs.reshape(-1).take(index)
+    first, offsets = _first_node(ffd, j)
+    # support values ordered (ly, lz, c, lx): the x matmul below contracts
+    # the trailing axis of a point's block, the y matmul the leading one,
+    # and the z matmul, broadcast over the y orders, the next one
+    offsets = 3 * offsets.transpose(1, 0, 2)[:, :, None, :] + np.arange(3)[:, None]
+    index = np.add((3 * first)[:, None], offsets.reshape(1, 192),
+                   out=_work_array(scratch, "index", (n, 192), np.intp))
+    # with out=, mode "raise" would buffer a copy; bincount below rejects
+    # any index that the clip could have hidden
+    values = ffd.coeffs.reshape(-1).take(index, mode="clip",
+                                         out=_work_array(scratch, "values", (n, 192)))
+
+    # bases[:, axis, order, l] and its transpose over (order, l)
+    bases = _work_array(scratch, "bases", (n, 3, 3, 4))
+    for order, basis in enumerate((_bspline_basis, _bspline_basis_d1, _bspline_basis_d2)):
+        for l, b in enumerate(basis(t)):
+            bases[:, :, order, l] = b
+    bases_t = _work_array(scratch, "bases_t", (n, 3, 4, 3))
+    bases_t[...] = bases.transpose(0, 1, 3, 2)
+
+    # forward: derivs[:, ky, kz, c, kx] is the (kx, ky, kz)-th derivative
+    # of component c; the backward pass reuses the x and y buffers
+    xs = np.matmul(values.reshape(n, 48, 4), bases_t[:, 0],
+                   out=_work_array(scratch, "x", (n, 48, 3)))
+    ys = np.matmul(bases[:, 1], xs.reshape(n, 4, 36),
+                   out=_work_array(scratch, "y", (n, 3, 36)))
+    derivs = _work_array(scratch, "derivs", (n, 3, 3, 3, 3))
+    np.matmul(bases[:, None, 2], ys.reshape(n, 3, 4, 9), out=derivs.reshape(n, 3, 3, 9))
+
+    # backward: bars holds d(loss)/d(derivs)
+    bars = _work_array(scratch, "bars", (n, 3, 3, 3, 3))
+    bars.fill(0.0)
+    sim = 0.0
+    if images is not None:
+        fixed, moving = images
+        warped, grads = sample_trilinear_with_gradient(moving, pts + derivs[:, 0, 0, :, 0])
+        r = warped - sample_trilinear(fixed, pts)
+        sim = float(np.mean(r * r))
+        bars[:, 0, 0, :, 0] = (2.0 / n) * r[:, None] * grads
+    bending = 0.0 if energy else None
+    scale = [1.0 / d for d in ffd.lattice_spacing]
+    for a, b, mult in _PAIRS:
+        k = [0, 0, 0]
+        k[a] += 1
+        k[b] += 1
+        s = scale[a] * scale[b]
+        d2 = s * derivs[:, k[1], k[2], :, k[0]]
+        if energy:
+            bending += mult * float(np.mean(np.sum(d2 * d2, axis=1)))
+        bars[:, k[1], k[2], :, k[0]] = ((bending_weight * mult * 2.0 / n) * s) * d2
+    ys = np.matmul(bases_t[:, None, 2], bars.reshape(n, 3, 3, 9), out=ys.reshape(n, 3, 4, 9))
+    xs = np.matmul(bases_t[:, 1], ys.reshape(n, 3, 36), out=xs.reshape(n, 4, 36))
+    terms = np.matmul(xs.reshape(n, 48, 3), bases[:, 0], out=values.reshape(n, 48, 4))
+    grad = np.bincount(index.ravel(), terms.ravel(), minlength=ffd.coeffs.size)
+    return sim, bending, grad.reshape(ffd.coeffs.shape)
 
 
 def bending_energy(ffd: FfdTransform, pts: np.ndarray):
     """Mean squared second derivatives of the transform at sample points.
 
     Returns (energy, gradient w.r.t. coeffs).  Vanishes for globally affine
-    transforms.
+    transforms.  The sums run axis by axis (see ``_ffd_objective``), so
+    they differ from a loop over the 64 support nodes by rounding only.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    return _bending(ffd, *_sample_support(ffd, ffd.coeffs, pts))
+    _, energy, grad = _ffd_objective(ffd, pts, 1.0, energy=True)
+    return energy, grad
 
 
-def _bending(ffd: FfdTransform, t, b0, index, values):
-    """``bending_energy`` from shared sample arrays.  The 64 support values
-    of each point serve all six derivative pairs, and each pair's gradient
-    is one scatter whose sums run in the same order as a loop over offsets,
-    then points.
-
-    Each scatter is an ``np.bincount`` whose first ``size`` entries are the
-    running gradient, bin i taking entry i: every bin starts from its
-    running sum and adds the pair's terms in order, as ``np.add.at`` would.
-    """
-    b1 = (_bspline_basis_d1(t[:, 0]), _bspline_basis_d1(t[:, 1]), _bspline_basis_d1(t[:, 2]))
-    b2 = (_bspline_basis_d2(t[:, 0]), _bspline_basis_d2(t[:, 1]), _bspline_basis_d2(t[:, 2]))
-    scale = [1.0 / d for d in ffd.lattice_spacing]
-
-    n = t.shape[0]
-    size = ffd.coeffs.size
-    energy = 0.0
-    grad = np.zeros(size)
-    rows = np.concatenate([np.arange(size), index.ravel()])
-    terms = np.empty(rows.size)
-    products = terms[size:].reshape(index.shape)  # (64, 3, n) scratch
-    pairs = [(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (0, 1, 2.0), (0, 2, 2.0), (1, 2, 2.0)]
-    for a, b, mult in pairs:
-        order = [0, 0, 0]
-        order[a] += 1
-        order[b] += 1
-        tabs = [(b0, b1, b2)[order[axis]][axis] for axis in range(3)]
-        s = scale[a] * scale[b]
-        w = _weights(*tabs)[:, None, :]
-        # accumulate second derivative vector at each sample point
-        d2 = np.zeros((3, n))
-        for term in np.multiply(w, values, out=products):
-            d2 += term
-        d2 *= s
-        per_point = np.ascontiguousarray(d2.T)  # (n, 3): the row sums keep their order
-        energy += mult * float(np.mean(np.sum(per_point * per_point, axis=1)))
-        coef = (mult * 2.0 / n) * s
-        np.multiply(w, d2, out=products)
-        products *= coef
-        terms[:size] = grad
-        grad = np.bincount(rows, terms, minlength=size)
-    return energy, grad.reshape(ffd.coeffs.shape)
-
-
-def register_ffd(fixed: ImageVolume, moving: ImageVolume, config: RegistrationConfig | None = None) -> FfdTransform:
+def register_ffd(fixed: ImageVolume, moving: ImageVolume, config: RegistrationConfig | None = None,
+                 history: list | None = None) -> FfdTransform:
     """Stochastic decaying-step optimization of MSE + bending energy.
 
-    Each iteration locates its samples on the lattice once; the displacement,
-    the data-term gradient and the bending gradient all reuse that support.
+    ``history``, when given, gains one row (1, iteration, total,
+    similarity, bending) per iteration, the loss before its step.
     """
     config = config or RegistrationConfig(backend="ffd")
     _check_pair(fixed, moving)
     nfixed, nmoving = _normalize_pair(fixed, moving, config.smooth_sigma_vox)
     ffd = make_lattice(fixed, config.ffd_control_spacing_vox)
-    coeffs = ffd.coeffs.copy()
+    weight = config.ffd_bending_weight
     rng = np.random.default_rng(config.seed)
     nx, ny, nz = fixed.dims
     lo = np.asarray(fixed.origin)
     hi = lo + (np.array([nx, ny, nz]) - 1) * np.asarray(fixed.spacing)
+    scratch = {}
 
     for it in range(config.ffd_iterations):
         pts = rng.uniform(lo, hi, size=(config.ffd_samples, 3))
-        t, b0, index, values = _sample_support(ffd, coeffs, pts)
-        w = _weights(*b0)
-        disp = np.zeros((3, len(pts)))
-        for o in range(64):
-            disp += w[o] * values[o]
-        warped, grads = sample_trilinear_with_gradient(nmoving, pts + disp.T)
-        fvals = sample_trilinear(nfixed, pts)
-        r = warped - fvals
-        if not np.all(np.isfinite(r)):
+        sim, bending, g = _ffd_objective(ffd, pts, weight, (nfixed, nmoving),
+                                         history is not None, scratch)
+        if not np.isfinite(sim):
             raise RegistrationError(f"ffd optimization diverged at iteration {it}")
-        # dMSE/dcoeff: scatter residual * image gradient through the basis;
-        # g starts at zero, so one bincount sums in np.add.at's order
-        contrib = (2.0 / config.ffd_samples) * r[:, None] * grads
-        terms = w[:, None, :] * contrib.T
-        g = np.bincount(index.ravel(), terms.ravel(), minlength=coeffs.size).reshape(coeffs.shape)
-        if config.ffd_bending_weight > 0:
-            _, gb = _bending(ffd, t, b0, index, values)
-            g += config.ffd_bending_weight * gb
+        if history is not None:
+            history.append((1, it, sim + weight * bending, sim, bending))
         gmax = np.abs(g).max()
         if gmax > 0:
             step = _STEP_A / (it + 1 + _STEP_OFFSET) ** _STEP_DECAY
-            coeffs = coeffs - step * g / gmax
-    return replace(ffd, coeffs=coeffs)
+            ffd = replace(ffd, coeffs=ffd.coeffs - step * g / gmax)
+    return ffd
 
 
 def _axis_basis(ffd: FfdTransform, axis: int) -> np.ndarray:
@@ -547,8 +560,8 @@ def register_sequence(frames, config: RegistrationConfig | None = None,
                       pairing: str = "fixed_reference", history: list | None = None):
     """Fields for (ED, ED+t) pairs, or (ED+t-1, ED+t) when sequential.
 
-    ``history``, when given, gains one list per pair, which the dense
-    backend fills as ``register_dense`` does; the FFD backend leaves it empty.
+    ``history``, when given, gains one list per pair, which the backend
+    fills as ``register_dense`` or ``register_ffd`` does.
     """
     config = config or RegistrationConfig()
     if pairing not in ("fixed_reference", "sequential"):
@@ -560,7 +573,7 @@ def register_sequence(frames, config: RegistrationConfig | None = None,
         if history is not None:
             history.append(trace := [])
         if cfg.backend == "ffd":
-            return to_dense(register_ffd(fixed, moving, cfg))
+            return to_dense(register_ffd(fixed, moving, cfg, trace))
         return register_dense(fixed, moving, cfg, trace)
 
     return [_run(frames[0] if pairing == "fixed_reference" else frames[t - 1], frames[t], t)

@@ -436,9 +436,9 @@ def write_unstructured_grid(mesh: TetMesh, path: str) -> None:
 
 # ---------------------------------------------------------------------------
 # FFD kernels as first written: 64 fancy-indexed gathers and 64 three-array
-# ``np.add.at`` scatters per term.  ``register.evaluate_ffd``,
-# ``bending_energy``, ``register_ffd`` and ``to_dense`` must match them bit
-# for bit.
+# ``np.add.at`` scatters per term.  ``register.evaluate_ffd`` must match them
+# bit for bit; ``bending_energy``, ``register_ffd`` and ``to_dense`` sum in
+# another order and must match them to within rounding.
 
 
 def _bspline_basis(t: np.ndarray):
@@ -494,17 +494,22 @@ def evaluate_ffd(ffd: FfdTransform, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def bending_energy(ffd: FfdTransform, pts: np.ndarray):
+def bending_energy(ffd: FfdTransform, pts: np.ndarray, absolute: bool = False):
     """Mean squared second derivatives of the transform at sample points.
 
     Returns (energy, gradient w.r.t. coeffs).  Vanishes for globally affine
-    transforms.
+    transforms.  With ``absolute`` every basis value and coefficient enters
+    by its magnitude: the same sums of |terms|, to which the rounding error
+    of any summation order of the true sums is relative.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     j, t = _lattice_coords(ffd, pts)
     b0 = (_bspline_basis(t[:, 0]), _bspline_basis(t[:, 1]), _bspline_basis(t[:, 2]))
     b1 = (_bspline_basis_d1(t[:, 0]), _bspline_basis_d1(t[:, 1]), _bspline_basis_d1(t[:, 2]))
     b2 = (_bspline_basis_d2(t[:, 0]), _bspline_basis_d2(t[:, 1]), _bspline_basis_d2(t[:, 2]))
+    if absolute:
+        b0, b1, b2 = ([tuple(np.abs(v) for v in axis) for axis in b] for b in (b0, b1, b2))
+        ffd = replace(ffd, coeffs=np.abs(ffd.coeffs))
     scale = [1.0 / d for d in ffd.lattice_spacing]
 
     n = pts.shape[0]

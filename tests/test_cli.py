@@ -209,6 +209,21 @@ def test_register_and_propagate_cli(dataset, config, tmp_path):
     assert not np.array_equal(a.vertices, b.vertices)
 
 
+def test_register_cli_writes_ffd_loss_trace(dataset, tmp_path):
+    cfg = {**SMALL_CONFIG, "register": {"backend": "ffd", "ffd_iterations": 3,
+                                        "ffd_samples": 256, "pairings": ["sequential"]}}
+    fields = str(tmp_path / "fields")
+    rc = main(["register", "--config", _write_config(tmp_path, cfg), "--input", dataset,
+               "--out", fields])
+    assert rc == 0
+    for t in (1, 2):
+        with open(os.path.join(fields, f"loss_sequential_{t:02d}.csv")) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["level", "iteration", "total", "similarity", "smoothness"]
+        assert [row[:2] for row in rows[1:]] == [["1", str(it)] for it in range(3)]
+        assert all(float(row[3]) > 0 and float(row[4]) >= 0 for row in rows[1:])
+
+
 def test_lbwarp_cli(dataset, config, tmp_path, capsys):
     surf_path = str(tmp_path / "surf.vtk")
     main(["isosurface", "--config", config,
