@@ -58,27 +58,18 @@ def cmd_align(args):
     frames = FrameSequence([read_mhd(p) for p in frame_paths])
     labels = [read_mhd(p, labels=True) for p in label_paths]
     out_frames, out_labels, shifts = align.correct(frames, labels, args.label)
-    os.makedirs(args.out, exist_ok=True)
-    for t in range(frames.n_frames):
-        write_mhd(out_frames[t], os.path.join(args.out, f"frame_{t:02d}.mhd"))
-        write_mhd(out_labels[t], os.path.join(args.out, f"labels_{t:02d}.mhd"))
-    pipeline.write_shifts(os.path.join(args.out, "shifts.csv"), shifts)
-    print(f"aligned {frames.n_frames} frames; shifts written to {args.out}/shifts.csv")
+    pipeline.write_alignment(args.out, out_frames, out_labels, shifts)
+    print(f"aligned {frames.n_frames} frames; shifts written to "
+          f"{args.out}/corrected_shifts.csv")
 
 
 def cmd_register(args):
     cfg, (_, reg_config, _) = _config(args)
     frames = FrameSequence([read_mhd(p) for p in _load_sequence(args.input, "frame")])
-    os.makedirs(args.out, exist_ok=True)
     for pairing in cfg["register"]["pairings"]:
         history = []
         fields = register.register_sequence(frames, reg_config, pairing, history)
-        for t, (field, losses) in enumerate(zip(fields, history), start=1):
-            write_mhd(pipeline.field_volume(field),
-                      os.path.join(args.out, f"field_{pairing}_{t:02d}.mhd"))
-            pipeline.write_csv_rows(
-                os.path.join(args.out, f"loss_{pairing}_{t:02d}.csv"),
-                ["level", "iteration", "total", "similarity", "smoothness"], losses)
+        pipeline.write_registration(args.out, pairing, fields, history)
         print(f"{pairing}: {len(fields)} fields written")
 
 
@@ -142,7 +133,7 @@ def cmd_lbwarp(args):
                      q.mean_scaled_jacobian, q.fraction_acceptable, q.n_nonpositive,
                      f"{info.residual:.3e}"))
         print(f"{surf_path}: warped (residual {info.residual:.2e})")
-    pipeline.write_csv_rows(
+    metrics.write_csv_rows(
         os.path.join(args.out, "quality.csv"),
         ["index", "surface", "min_scaled_jacobian", "mean_scaled_jacobian",
          "fraction_acceptable", "n_nonpositive", "residual"], rows)
@@ -160,7 +151,7 @@ def cmd_quality(args):
     print(f"valid:               {q.valid}")
     if args.csv:
         radius_edge = tetmesh.radius_edge_many(mesh.vertices[mesh.tets])
-        pipeline.write_csv_rows(
+        metrics.write_csv_rows(
             args.csv, ["element", "scaled_jacobian", "radius_edge", "volume_mm3"],
             zip(range(len(mesh.tets)), q.scaled_jacobian.tolist(), radius_edge.tolist(),
                 q.volumes.tolist()))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, asdict
 
@@ -22,6 +21,7 @@ __all__ = [
     "surface_distances",
     "node_distance",
     "ttest",
+    "write_csv_rows",
 ]
 
 
@@ -135,14 +135,8 @@ class MetricsReport:
     def write_csv(self, path: str) -> None:
         cols = ["frame_id", "dice", "mad_mm", "hausdorff_mm", "node_mean_mm",
                 "node_max_mm", "min_scaled_jacobian"]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(cols)
-            for r in self.records:
-                w.writerow(
-                    ["" if getattr(r, c) is None else f"{getattr(r, c):.9g}"
-                     if c != "frame_id" else getattr(r, c) for c in cols]
-                )
+        write_csv_rows(path, cols, [["" if getattr(r, c) is None else getattr(r, c)
+                                     for c in cols] for r in self.records])
 
     def write_json(self, path: str) -> None:
         payload = {
@@ -152,3 +146,13 @@ class MetricsReport:
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def write_csv_rows(path: str, header: list, rows) -> None:
+    """One comma-separated line per row, each ending in a bare newline;
+    floats as ``%.9g``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.9g}" if isinstance(x, float) else str(x)
+                              for x in row) + "\n")

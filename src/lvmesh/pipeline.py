@@ -22,13 +22,14 @@ import numpy as np
 import yaml
 
 from . import align, isosurface, lbwarp, metrics, phantom, register, tetmesh, vtkio
-from .register import DisplacementField, RegistrationConfig
+from .metrics import write_csv_rows
+from .register import RegistrationConfig
 from .volume import ImageVolume, LabelVolume, VolumeError, resample_z, write_mhd
 
 __all__ = [
     "PipelineError", "MeshConfig", "load_config", "validate_config", "stage_configs",
-    "make_phantom", "extract_surface", "build_tetmesh", "write_csv_rows", "write_shifts",
-    "field_volume", "run", "report",
+    "make_phantom", "extract_surface", "build_tetmesh", "write_shifts", "write_alignment",
+    "write_registration", "run", "report",
 ]
 
 log = logging.getLogger(__name__)
@@ -185,10 +186,6 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _fmt(x) -> str:
-    return f"{x:.9g}"
-
-
 class _Tree:
     """Tracks emitted files relative to the output root."""
 
@@ -206,14 +203,14 @@ class _Tree:
         write_mhd(vol, self.path(rel))
         self.files.append(rel[:-4] + ".raw")
 
+    def add_dir(self, rel: str, names: list[str]) -> None:
+        """Track ``names``, written in the directory ``rel``."""
+        self.files += [f"{rel}/{name}" for name in names]
 
-def write_csv_rows(path: str, header: list, rows) -> None:
-    """One comma-separated line per row; floats as ``%.9g``."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) if isinstance(x, float) else str(x)
-                              for x in row) + "\n")
+
+def _write_mhd(directory: str, stem: str, vol) -> list[str]:
+    write_mhd(vol, os.path.join(directory, stem + ".mhd"))
+    return [stem + ".mhd", stem + ".raw"]
 
 
 def write_shifts(path: str, shifts: np.ndarray) -> None:
@@ -223,9 +220,31 @@ def write_shifts(path: str, shifts: np.ndarray) -> None:
                     for k, (dx, dy) in enumerate(frame)])
 
 
-def field_volume(field: DisplacementField) -> ImageVolume:
-    """``field`` as the 3-channel float32 volume its MetaImage file holds."""
-    return ImageVolume(field.u.astype(np.float32), field.spacing, field.origin)
+def write_alignment(directory: str, frames, labels, shifts) -> list[str]:
+    """Alignment stage's files: ``frame_XX`` and ``labels_XX`` volumes and
+    ``corrected_shifts.csv``; returns their names within ``directory``."""
+    os.makedirs(directory, exist_ok=True)
+    names = []
+    for t, (frame, label) in enumerate(zip(frames, labels)):
+        names += _write_mhd(directory, f"frame_{t:02d}", frame)
+        names += _write_mhd(directory, f"labels_{t:02d}", label)
+    write_shifts(os.path.join(directory, "corrected_shifts.csv"), shifts)
+    return names + ["corrected_shifts.csv"]
+
+
+def write_registration(directory: str, pairing: str, fields, history) -> list[str]:
+    """Registration stage's files for ``pairing``: per pair, the float64 field
+    ``field_<pairing>_XX`` and its loss trace ``loss_<pairing>_XX.csv``, as
+    ``register_sequence`` returns and fills them; returns their names within
+    ``directory``."""
+    os.makedirs(directory, exist_ok=True)
+    names = []
+    for t, (field, losses) in enumerate(zip(fields, history), start=1):
+        names += _write_mhd(directory, f"field_{pairing}_{t:02d}", field.as_volume())
+        write_csv_rows(os.path.join(directory, f"loss_{pairing}_{t:02d}.csv"),
+                       ["level", "iteration", "total", "similarity", "smoothness"], losses)
+        names.append(f"loss_{pairing}_{t:02d}.csv")
+    return names
 
 
 def make_phantom(spec: phantom.PhantomSpec, seed: int):
@@ -310,18 +329,18 @@ def run(config, output_dir: str) -> str:
 
         with _stage(stages_done, "align"):
             work_frames, work_labels, shifts = align.correct(bad_frames, bad_labels)
-            write_shifts(tree.path("align/corrected_shifts.csv"), shifts)
-            for t in range(n_frames):
-                tree.add_mhd(f"align/frame_{t:02d}.mhd", work_frames[t])
+            tree.add_dir("align", write_alignment(os.path.join(output_dir, "align"),
+                                                  work_frames, work_labels, shifts))
 
     # --- registration ------------------------------------------------------
     fields_by_pairing = {}
     for pairing in cfg["register"]["pairings"]:
         with _stage(stages_done, f"register[{pairing}]"):
-            fields = register.register_sequence(work_frames, reg_config, pairing)
+            history = []
+            fields = register.register_sequence(work_frames, reg_config, pairing, history)
             fields_by_pairing[pairing] = fields
-            for t, f in enumerate(fields, start=1):
-                tree.add_mhd(f"register/field_{pairing}_{t:02d}.mhd", field_volume(f))
+            tree.add_dir("register", write_registration(os.path.join(output_dir, "register"),
+                                                        pairing, fields, history))
 
     if "fixed_reference" in fields_by_pairing:
         fields = fields_by_pairing["fixed_reference"]

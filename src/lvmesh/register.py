@@ -32,7 +32,6 @@ __all__ = [
     "grad_dense",
     "register_dense",
     "make_lattice",
-    "evaluate_ffd",
     "bending_energy",
     "register_ffd",
     "to_dense",
@@ -363,26 +362,6 @@ def _first_node(ffd: FfdTransform, j: np.ndarray):
     return first, (lz * ncy + ly) * ncx + lx
 
 
-def evaluate_ffd(ffd: FfdTransform, pts: np.ndarray) -> np.ndarray:
-    """Displacement (mm) of the B-spline transform at physical points (N, 3)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    j, t = _lattice_coords(ffd, pts)
-    bx = _bspline_basis(t[:, 0])
-    by = _bspline_basis(t[:, 1])
-    bz = _bspline_basis(t[:, 2])
-    first, offsets = _first_node(ffd, j)
-    nodes = np.ascontiguousarray(ffd.coeffs.reshape(-1, 3).T)
-    out = np.zeros((3, pts.shape[0]))
-    # one offset at a time: a (64, N) array would not fit dense grids
-    for lz in range(4):
-        for ly in range(4):
-            wzy = bz[lz] * by[ly]
-            for lx in range(4):
-                w = wzy * bx[lx]
-                out += w * nodes.take(first + offsets[lz, ly, lx], axis=1)
-    return np.ascontiguousarray(out.T)
-
-
 # (a, b, multiplicity) of the six second-derivative pairs of the bending energy
 _PAIRS = ((0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (0, 1, 2.0), (0, 2, 2.0), (1, 2, 2.0))
 
@@ -523,7 +502,8 @@ def register_ffd(fixed: ImageVolume, moving: ImageVolume, config: RegistrationCo
 def _axis_basis(ffd: FfdTransform, axis: int) -> np.ndarray:
     """Banded (n, nc) matrix of the cubic basis at the grid's voxel centers
     along one axis: row i holds the four weights of voxel i at its support
-    nodes.  Its (j, t) are ``evaluate_ffd``'s at ``voxel_centers()``, bit for bit."""
+    nodes.  Its (j, t) come from ``_cell_coords`` at ``voxel_centers()``,
+    as the point-wise ones of ``_ffd_objective`` and the oracle do."""
     n, o, s = ffd.grid_dims[axis], ffd.grid_origin[axis], ffd.grid_spacing[axis]
     nc = ffd.lattice_dims[axis]
     x = np.asarray(o + s * np.arange(n), dtype=np.float64)
@@ -539,9 +519,9 @@ def to_dense(ffd: FfdTransform) -> DisplacementField:
 
     The basis factors per axis on the grid, so ``coeffs`` (ncz, ncy, ncx, 3)
     is contracted with the x, then the y, then the z basis matrix.  That
-    sums in another order than ``evaluate_ffd``'s 64-term loop; both are
-    convex combinations of at most 64 coefficients, so the two differ by at
-    most ``128 * eps * max|coeffs|``.
+    sums in another order than the 64-term loop of the point-wise oracle
+    (``tests/_oracles.py``); both are convex combinations of at most 64
+    coefficients, so the two differ by at most ``128 * eps * max|coeffs|``.
     """
     nx, ny, nz = ffd.grid_dims
     ncx, ncy, ncz = ffd.lattice_dims

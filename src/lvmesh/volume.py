@@ -35,12 +35,9 @@ _MET_TO_DTYPE = {
     "MET_UCHAR": np.dtype("<u1"),
     "MET_SHORT": np.dtype("<i2"),
     "MET_FLOAT": np.dtype("<f4"),
+    "MET_DOUBLE": np.dtype("<f8"),
 }
-_DTYPE_TO_MET = {
-    np.dtype("uint8"): "MET_UCHAR",
-    np.dtype("int16"): "MET_SHORT",
-    np.dtype("float32"): "MET_FLOAT",
-}
+_DTYPE_TO_MET = {dtype.newbyteorder("="): met for met, dtype in _MET_TO_DTYPE.items()}
 
 
 @dataclass(frozen=True)
@@ -245,7 +242,7 @@ def write_mhd(vol: ImageVolume, path: str) -> None:
         data = data.astype(np.uint8)
     dtype = np.dtype(data.dtype)
     if dtype not in _DTYPE_TO_MET:
-        raise VolumeError(f"unsupported element dtype {dtype}; use u8/i16/f32")
+        raise VolumeError(f"unsupported element dtype {dtype}; use u8/i16/f32/f64")
     nx, ny, nz = vol.dims
     base = os.path.splitext(os.path.basename(path))[0]
     raw_name = base + ".raw"

@@ -1,7 +1,10 @@
 """Legacy ASCII VTK readers/writers for triangle surfaces and tet meshes.
 
-Deterministic formatting (repr-stable %.9g floats) so repeated runs produce
-byte-identical artifacts.
+Point coordinates are written as ``double`` in the shortest text that reads
+back to the same float64 (Python's ``repr``), so a mesh read from a file is
+bit for bit the mesh that was written, and repeated runs produce
+byte-identical artifacts.  The ``scaled_jacobian`` cell data, which no
+reader uses, keeps 9 significant digits.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ def write_polydata(mesh: SurfaceMesh, path: str) -> None:
     text = [
         "# vtk DataFile Version 3.0\nsurface\n",
         "ASCII\nDATASET POLYDATA\n",
-        f"POINTS {len(v)} float\n",
-        _rows("%.9g %.9g %.9g\n", v),
+        f"POINTS {len(v)} double\n",
+        _rows("%r %r %r\n", v),
         f"POLYGONS {len(t)} {4 * len(t)}\n",
         _rows("3 %d %d %d\n", t),
     ]
@@ -73,8 +76,8 @@ def write_unstructured_grid(mesh: TetMesh, path: str) -> None:
     text = [
         "# vtk DataFile Version 3.0\ntetmesh\n",
         "ASCII\nDATASET UNSTRUCTURED_GRID\n",
-        f"POINTS {len(v)} float\n",
-        _rows("%.9g %.9g %.9g\n", v),
+        f"POINTS {len(v)} double\n",
+        _rows("%r %r %r\n", v),
         f"CELLS {len(t)} {5 * len(t)}\n",
         _rows("4 %d %d %d %d\n", t),
         f"CELL_TYPES {len(t)}\n",

@@ -389,6 +389,11 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _point(p) -> str:
+    """A point as the shortest text that reads back to each float64."""
+    return f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}\n"
+
+
 def write_polydata(mesh: SurfaceMesh, path: str) -> None:
     v = mesh.vertices
     t = mesh.triangles
@@ -396,9 +401,9 @@ def write_polydata(mesh: SurfaceMesh, path: str) -> None:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("surface\n")
         fh.write("ASCII\nDATASET POLYDATA\n")
-        fh.write(f"POINTS {len(v)} float\n")
+        fh.write(f"POINTS {len(v)} double\n")
         for p in v:
-            fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
+            fh.write(_point(p))
         fh.write(f"POLYGONS {len(t)} {4 * len(t)}\n")
         for a, b, c in t:
             fh.write(f"3 {a} {b} {c}\n")
@@ -411,9 +416,9 @@ def write_unstructured_grid(mesh: TetMesh, path: str) -> None:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("tetmesh\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {len(v)} float\n")
+        fh.write(f"POINTS {len(v)} double\n")
         for p in v:
-            fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
+            fh.write(_point(p))
         fh.write(f"CELLS {len(t)} {5 * len(t)}\n")
         for a, b, c, d in t:
             fh.write(f"4 {a} {b} {c} {d}\n")
@@ -436,9 +441,8 @@ def write_unstructured_grid(mesh: TetMesh, path: str) -> None:
 
 # ---------------------------------------------------------------------------
 # FFD kernels as first written: 64 fancy-indexed gathers and 64 three-array
-# ``np.add.at`` scatters per term.  ``register.evaluate_ffd`` must match them
-# bit for bit; ``bending_energy``, ``register_ffd`` and ``to_dense`` sum in
-# another order and must match them to within rounding.
+# ``np.add.at`` scatters per term.  ``bending_energy``, ``register_ffd`` and
+# ``to_dense`` sum in another order and must match them to within rounding.
 
 
 def _bspline_basis(t: np.ndarray):

@@ -15,11 +15,9 @@ import yaml
 import lvmesh
 from lvmesh import pipeline
 from lvmesh.cli import build_parser, main
-from lvmesh.isosurface import decimate
 from lvmesh.tetmesh import radius_edge_many
 from lvmesh.volume import read_mhd
-from lvmesh.vtkio import (read_polydata, read_unstructured_grid, write_polydata,
-                          write_unstructured_grid)
+from lvmesh.vtkio import read_polydata, read_unstructured_grid
 
 # small but anatomically valid phantom: the default geometry scaled down
 SMALL_CONFIG = {
@@ -65,10 +63,6 @@ def _assert_same_bytes(root, pairs):
             assert fa.read() == fb.read(), (a, b)
 
 
-def _volume_files(directory, name, frames):
-    return [f"{directory}/{name}_{t:02d}.{ext}" for t in frames for ext in ("mhd", "raw")]
-
-
 def test_phantom_outputs(dataset):
     assert os.path.exists(os.path.join(dataset, "frame_00.mhd"))
     assert os.path.exists(os.path.join(dataset, "labels_01.mhd"))
@@ -79,64 +73,74 @@ def test_phantom_outputs(dataset):
     assert vol.data.shape == (32, 32, 32)
 
 
+def _assert_same_files(tmp_path, dirs):
+    """Every file of the pipeline run under ``run/`` in one of ``dirs`` has a
+    byte-equal namesake under ``cli/``; returns their names."""
+    with open(tmp_path / "run" / "manifest.json") as fh:
+        files = [rel for rel in json.load(fh)["files"] if rel.split("/")[0] in dirs]
+    assert {rel.split("/")[0] for rel in files} == set(dirs)
+    _assert_same_bytes(str(tmp_path), [(f"run/{rel}", f"cli/{rel}") for rel in files])
+    return files
+
+
 def test_cli_reproduces_pipeline(tmp_path):
+    # one stage per subcommand, each reading the files the one before wrote
     cfg = _write_config(tmp_path, TINY_CONFIG)
     pipeline.run(TINY_CONFIG, str(tmp_path / "run"))
-    os.makedirs(tmp_path / "mesh")
-    mesh = str(tmp_path / "mesh")
-    for argv in (
-        ["phantom", "--out", str(tmp_path / "data")],
-        ["register", "--input", str(tmp_path / "data"), "--out", str(tmp_path / "fields")],
-        ["isosurface", "--labels", str(tmp_path / "data" / "labels_00.mhd"),
+    cli = tmp_path / "cli"
+    mesh, frames = str(cli / "mesh"), str(cli / "frames")
+    os.makedirs(mesh)
+    os.makedirs(frames)
+    steps = [
+        ["phantom", "--config", cfg, "--out", str(cli / "phantom")],
+        ["register", "--config", cfg, "--input", str(cli / "phantom"),
+         "--out", str(cli / "register")],
+        ["isosurface", "--config", cfg, "--labels", str(cli / "phantom" / "labels_00.mhd"),
          "--out", os.path.join(mesh, "ed_surface_full.vtk")],
-        ["decimate", "--input", os.path.join(mesh, "ed_surface_full.vtk"),
+        ["decimate", "--config", cfg, "--input", os.path.join(mesh, "ed_surface_full.vtk"),
          "--out", os.path.join(mesh, "ed_surface.vtk")],
-        ["tetmesh", "--surface", os.path.join(mesh, "ed_surface.vtk"),
+        ["tetmesh", "--config", cfg, "--surface", os.path.join(mesh, "ed_surface.vtk"),
          "--out", os.path.join(mesh, "ed_tetmesh.vtk")],
-    ):
-        assert main(argv[:1] + ["--config", cfg] + argv[1:]) == 0, argv[0]
-
+    ]
     n = TINY_CONFIG["phantom"]["n_frames"]
-    pairs = [(f"run/{a}", b) for name in ("frame", "labels", "gt_field")
-             for a, b in zip(_volume_files("phantom", name, range(n)),
-                             _volume_files("data", name, range(n)))]
-    pairs += [(f"run/{a}", b) for a, b in zip(
-        _volume_files("register", "field_fixed_reference", range(1, n)),
-        _volume_files("fields", "field_fixed_reference", range(1, n)))]
-    pairs.append(("run/mesh/ed_surface_full.vtk", "mesh/ed_surface_full.vtk"))
-    _assert_same_bytes(str(tmp_path), pairs)
-    assert os.path.exists(tmp_path / "fields" / "loss_fixed_reference_01.csv")
+    surfaces = [os.path.join(frames, f"surface_{t:02d}.vtk") for t in range(1, n)]
+    for t, surface in enumerate(surfaces, start=1):
+        field = str(cli / "register" / f"field_fixed_reference_{t:02d}.mhd")
+        steps += [
+            ["propagate-surface", "--surface", os.path.join(mesh, "ed_surface.vtk"),
+             "--field", field, "--out", surface],
+            ["propagate-volume", "--mesh", os.path.join(mesh, "ed_tetmesh.vtk"),
+             "--field", field, "--out", os.path.join(frames, f"tet_direct_{t:02d}.vtk")],
+        ]
+    steps.append(["lbwarp", "--mesh", os.path.join(mesh, "ed_tetmesh.vtk"),
+                  "--surfaces", *surfaces, "--out", frames])
+    for argv in steps:
+        assert main(argv) == 0, argv[0]
 
-    # VTK files hold 9 significant digits, and QEM decimation breaks its many
-    # cost ties differently on the rounded vertices, so the meshes made from
-    # the files are compared with the pipeline's stages run on its own files
-    _, _, mesh_config = pipeline.stage_configs(pipeline.validate_config(TINY_CONFIG))
-    surf = decimate(read_polydata(str(tmp_path / "run/mesh/ed_surface_full.vtk")),
-                    mesh_config.target_vertices)
-    write_polydata(surf, str(tmp_path / "ed_surface.vtk"))
-    tets = pipeline.build_tetmesh(read_polydata(str(tmp_path / "ed_surface.vtk")), mesh_config)
-    write_unstructured_grid(tets, str(tmp_path / "ed_tetmesh.vtk"))
-    _assert_same_bytes(str(tmp_path), [("ed_surface.vtk", "mesh/ed_surface.vtk"),
-                                       ("ed_tetmesh.vtk", "mesh/ed_tetmesh.vtk")])
-    assert (read_polydata(str(tmp_path / "run/mesh/ed_surface.vtk")).n_vertices
-            == surf.n_vertices == TINY_CONFIG["mesh"]["target_vertices"])
+    files = _assert_same_files(tmp_path, ("phantom", "register", "mesh", "frames"))
+    assert "register/loss_fixed_reference_01.csv" in files
+    assert f"frames/tet_lbwarp_{n - 1:02d}.vtk" in files
+    assert (read_polydata(str(cli / "mesh" / "ed_surface.vtk")).n_vertices
+            == TINY_CONFIG["mesh"]["target_vertices"])
 
 
 def test_cli_reproduces_pipeline_alignment(tmp_path):
     cfg = {**TINY_CONFIG, "phantom": {**TINY_CONFIG["phantom"], "misalign_amplitude_mm": 2.0}}
     cfg_path = _write_config(tmp_path, cfg)
     pipeline.run(cfg, str(tmp_path / "run"))
-    data, aligned = str(tmp_path / "data"), str(tmp_path / "aligned")
+    data, cli = str(tmp_path / "data"), tmp_path / "cli"
     assert main(["phantom", "--config", cfg_path, "--out", data]) == 0
-    assert main(["align", "--input", data, "--out", aligned]) == 0
+    assert main(["align", "--input", data, "--out", str(cli / "align")]) == 0
+    assert main(["register", "--config", cfg_path, "--input", str(cli / "align"),
+                 "--out", str(cli / "register")]) == 0
 
+    # the pipeline keeps the applied shifts beside the aligned volumes
+    os.replace(os.path.join(data, "applied_shifts.csv"), cli / "align" / "applied_shifts.csv")
+    files = _assert_same_files(tmp_path, ("align", "register"))
     n = cfg["phantom"]["n_frames"]
-    pairs = [(f"run/{a}", b) for a, b in zip(_volume_files("align", "frame", range(n)),
-                                             _volume_files("aligned", "frame", range(n)))]
-    pairs += [("run/align/applied_shifts.csv", "data/applied_shifts.csv"),
-              ("run/align/corrected_shifts.csv", "aligned/shifts.csv")]
-    _assert_same_bytes(str(tmp_path), pairs)
-    with open(tmp_path / "data" / "applied_shifts.csv") as fh:
+    assert {f"align/labels_{n - 1:02d}.raw", "align/corrected_shifts.csv",
+            "align/applied_shifts.csv", "register/loss_fixed_reference_01.csv"} <= set(files)
+    with open(cli / "align" / "applied_shifts.csv") as fh:
         assert any(row["dx_vox"] != "0" or row["dy_vox"] != "0" for row in csv.DictReader(fh))
 
 
@@ -182,8 +186,9 @@ def test_align_cli(tmp_path):
     out = str(tmp_path / "aligned")
     rc = main(["align", "--input", data, "--out", out])
     assert rc == 0
-    assert os.path.exists(os.path.join(out, "shifts.csv"))
+    assert os.path.exists(os.path.join(out, "corrected_shifts.csv"))
     assert os.path.exists(os.path.join(out, "frame_01.mhd"))
+    assert os.path.exists(os.path.join(out, "labels_01.mhd"))
 
 
 def test_register_and_propagate_cli(dataset, config, tmp_path):

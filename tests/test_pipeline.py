@@ -181,9 +181,16 @@ def test_smoke_manifest_structure(smoke_run):
     assert "mesh/ed_tetmesh.vtk" in files
     assert "reports/metrics.csv" in files
     assert "align/corrected_shifts.csv" in files
-    # every listed artifact exists on disk
+    for t in range(n_frames):
+        assert f"align/labels_{t:02d}.mhd" in files
+    for t in range(1, n_frames):
+        assert f"register/loss_fixed_reference_{t:02d}.csv" in files
+    # every listed artifact exists on disk, and every CSV ends its lines in \n
     for rel in files:
         assert os.path.exists(os.path.join(out, rel)), rel
+        if rel.endswith(".csv"):
+            with open(os.path.join(out, rel), "rb") as fh:
+                assert b"\r" not in fh.read(), rel
 
 
 def test_smoke_metrics_reasonable(smoke_run):

