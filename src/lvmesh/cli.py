@@ -10,7 +10,7 @@ import os
 import sys
 
 from . import align, isosurface, lbwarp, metrics, phantom, pipeline, register, tetmesh, vtkio
-from .volume import FrameSequence, ImageVolume, read_mhd, write_mhd
+from .volume import FrameSequence, read_mhd
 
 log = logging.getLogger("lvmesh")
 
@@ -40,16 +40,14 @@ def _config(args):
 def cmd_phantom(args):
     cfg, (spec, _, _) = _config(args)
     frames, labels, fields, misaligned = pipeline.make_phantom(spec, cfg["seed"])
-    os.makedirs(args.out, exist_ok=True)
-    if misaligned is not None:
-        frames, labels, applied = misaligned
-        pipeline.write_shifts(os.path.join(args.out, "applied_shifts.csv"), applied)
-    for t in range(spec.n_frames):
-        write_mhd(frames[t], os.path.join(args.out, f"frame_{t:02d}.mhd"))
-        write_mhd(labels[t], os.path.join(args.out, f"labels_{t:02d}.mhd"))
-        write_mhd(ImageVolume(fields[t], spec.spacing),
-                  os.path.join(args.out, f"gt_field_{t:02d}.mhd"))
+    pipeline.write_phantom(args.out, spec.spacing, frames, labels, fields)
     print(f"wrote {spec.n_frames} frames to {args.out}")
+    if misaligned is not None:
+        bad_frames, bad_labels, applied = misaligned
+        out = os.path.join(args.out, "misaligned")
+        pipeline.write_volumes(out, bad_frames, bad_labels)
+        pipeline.write_shifts(os.path.join(out, "applied_shifts.csv"), applied)
+        print(f"wrote the misaligned frames to {out}")
 
 
 def cmd_align(args):

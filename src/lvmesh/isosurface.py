@@ -9,6 +9,7 @@ construction; vertices are welded on shared grid edges.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 import logging
@@ -220,8 +221,10 @@ def marching_cubes(labels: LabelVolume, target_label: int, iso_policy: str = "bi
 #
 # A quadric is the upper triangle of the symmetric 4x4 matrix Q, held as the
 # 10 terms (q00 q01 q02 q03 q11 q12 q13 q22 q23 q33).  The helpers below
-# unpack it, so they evaluate the same expressions on Python floats (the
-# collapse loop) and on arrays of terms (the initial edge pass).
+# unpack it, so they evaluate the same expressions on arrays of terms (the
+# initial edge pass) and on Python floats (the loop's fallback).  The loop's
+# own re-cost writes them out on floats; operands that repeat in them are
+# computed once, which rounds the same.
 
 _QUADRIC_TERMS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 
@@ -234,11 +237,11 @@ def _vertex_quadrics(verts, tris):
     n = n[keep] / norm[keep][:, None]
     d = -np.einsum("ij,ij->i", n, verts[tris[keep, 0]])
     p = np.concatenate([n, d[:, None]], axis=1)  # (M, 4)
-    K = np.stack([p[:, i] * p[:, j] for i, j in _QUADRIC_TERMS], axis=1)  # (M, 10)
-    Q = np.zeros((len(verts), 10))
-    for i in range(3):
-        np.add.at(Q, tris[keep, i], K)
-    return Q
+    # each term summed over corner 0 of every triangle, then corner 1, then
+    # corner 2: np.bincount adds in index order from 0, as np.add.at would
+    corner = tris[keep].T.reshape(-1)
+    return np.stack([np.bincount(corner, np.tile(p[:, i] * p[:, j], 3), minlength=len(verts))
+                     for i, j in _QUADRIC_TERMS], axis=1)
 
 
 def _quadric_cost(q, x):
@@ -299,17 +302,10 @@ def _midpoint(va, vb):
     return (0.5 * (va[0] + vb[0]), 0.5 * (va[1] + vb[1]), 0.5 * (va[2] + vb[2]))
 
 
-def _collapse(q, va, vb):
-    """(cost, position) of contracting edge (va, vb) under the summed
-    quadric q: the quadric minimizer when the normal system is well
-    conditioned and its solution stays near the edge, else the cheapest of
-    va, vb and the midpoint."""
-    det = _normal_det(q)
-    scale = max(abs(q[0]), abs(q[4]), abs(q[7]), 1e-300)
-    if abs(det) > 1e-10 * scale**3:
-        x = _minimizer(q, det)
-        if _within_edge_ball(x, va, vb):
-            return _quadric_cost(q, x), x
+def _collapse_fallback(q, va, vb):
+    """(cost, position) of the cheapest of va, vb and the midpoint under q,
+    the first of them on ties: the contraction when the quadric minimizer
+    is ill conditioned or leaves the edge's ball."""
     best, bx = np.inf, va
     for x in (va, vb, _midpoint(va, vb)):
         c = _quadric_cost(q, x)
@@ -319,13 +315,15 @@ def _collapse(q, va, vb):
 
 
 def _collapse_many(q, va, vb):
-    """``_collapse`` for every row of an (E, 10) quadric stack and (E, 3)
-    endpoint arrays, elementwise with the same expressions."""
+    """(cost, position) of contracting each edge (va, vb) under the summed
+    quadric q, for an (E, 10) quadric stack and (E, 3) endpoint arrays: the
+    quadric minimizer when the normal system is well conditioned and its
+    solution stays near the edge, else ``_collapse_fallback``'s choice."""
     terms = tuple(q.T)
     a, b = tuple(va.T), tuple(vb.T)
     det = _normal_det(terms)
     scale = np.maximum(np.maximum(np.maximum(abs(terms[0]), abs(terms[4])), abs(terms[7])), 1e-300)
-    # Python's float power, so the threshold rounds exactly as in _collapse
+    # Python's float power, so the threshold rounds exactly as in the loop
     cube = np.array([s**3 for s in scale.tolist()])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         solved = abs(det) > 1e-10 * cube
@@ -342,12 +340,6 @@ def _collapse_many(q, va, vb):
         return _quadric_cost(terms, tuple(pos.T)), pos
 
 
-def _tri_normal(p0, p1, p2):
-    ax, ay, az = p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]
-    bx, by, bz = p2[0] - p0[0], p2[1] - p0[1], p2[2] - p0[2]
-    return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
-
-
 def decimate(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
     """Edge-collapse decimation ordered by quadric error.
 
@@ -358,86 +350,189 @@ def decimate(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
     """
     if target_vertex_count < 4:
         raise IsosurfaceError("target vertex count must be at least 4")
+    # The loop makes no reference cycles, but its many tuples and sets would
+    # set off several full collections of the whole heap.  One collection
+    # afterwards is less work, and it also hands back the memory that the
+    # interpreter's free lists still hold from the loop's tuples before the
+    # next stage allocates.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _collapse_edges(mesh, target_vertex_count)
+    finally:
+        if collecting:
+            gc.enable()
+            gc.collect()
+
+
+def _vertex_triangles(triangles, n_verts):
+    """Each vertex's set of triangle ids."""
+    corner = triangles.reshape(-1)
+    tri_of = (np.argsort(corner, kind="stable") // 3).tolist()
+    ends = np.cumsum(np.bincount(corner, minlength=n_verts)).tolist()
+    return [set(tri_of[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+
+
+def _edge_queue(mesh, Qa):
+    """The collapse queue of every unique edge, costed in one pass: the
+    distinct costs as a heap, and a dict from each cost to the heap of its
+    (u, v, ver_u, ver_v, position) entries, since costs often tie (0.0 on
+    flat patches).  Pops follow the (cost, u, v, versions) keys, which are
+    unique, as one heap of (cost, entry) tuples would."""
+    n = mesh.n_vertices
+    edges = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    key = np.unique(edges[:, 0] * n + edges[:, 1])
+    eu, ev = key // n, key % n
+    cost, pos = _collapse_many(Qa[eu] + Qa[ev], mesh.vertices[eu], mesh.vertices[ev])
+    # entries sorted by (cost, u, v) are already heaps, as are the sorted costs
+    order = np.argsort(cost, kind="stable")
+    cost = cost[order]
+    starts = np.ones(len(cost) + 1, dtype=bool)
+    starts[1:-1] = cost[1:] != cost[:-1]
+    bounds = np.flatnonzero(starts).tolist()
+    entries = list(zip(eu[order].tolist(), ev[order].tolist(), itertools.repeat(0),
+                       itertools.repeat(0), map(tuple, pos[order].tolist())))
+    costs = cost[bounds[:-1]].tolist()
+    return costs, {c: entries[lo:hi] for c, lo, hi in zip(costs, bounds, bounds[1:])}
+
+
+def _collapse_edges(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
+    """``decimate``'s collapse loop: the edge queue, the link and flip
+    tests and each commit, with the re-cost of every edge at the surviving
+    vertex written out on floats in ``_collapse_many``'s expressions."""
     n_verts = mesh.n_vertices
     verts = list(map(tuple, mesh.vertices.tolist()))
     tris = list(map(tuple, mesh.triangles.tolist()))
     alive_tri = [True] * len(tris)
-    v_tris = [set() for _ in range(n_verts)]
-    for ti, t in enumerate(tris):
-        for v in t:
-            v_tris[v].add(ti)
-    alive_v = [True] * n_verts
+    v_tris = _vertex_triangles(mesh.triangles, n_verts)
     Qa = _vertex_quadrics(mesh.vertices, mesh.triangles)
     Q = list(map(tuple, Qa.tolist()))
-    version = [0] * n_verts
-
-    # every unique edge once, in first-occurrence order, costed in one pass;
-    # the (cost, u, v, versions) keys are unique, so pops follow the keys
-    edges = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    edges.sort(axis=1)
-    _, first = np.unique(edges[:, 0] * n_verts + edges[:, 1], return_index=True)
-    eu, ev = edges[np.sort(first)].T
-    cost, pos = _collapse_many(Qa[eu] + Qa[ev], mesh.vertices[eu], mesh.vertices[ev])
-    heap = list(zip(cost.tolist(), eu.tolist(), ev.tolist(), [0] * len(eu), [0] * len(eu),
-                    map(tuple, pos.tolist())))
-    heapq.heapify(heap)
-
-    def neighbors(v):
-        out = set()
-        for ti in v_tris[v]:
-            out.update(tris[ti])
-        out.discard(v)
-        return out
+    costs, buckets = _edge_queue(mesh, Qa)
+    del Qa
+    version = [0] * n_verts  # -1 once removed, so one test catches both
+    heappop, heappush = heapq.heappop, heapq.heappush
 
     n_alive = n_verts
-    while n_alive > target_vertex_count and heap:
-        cost, u, v, ver_u, ver_v, pos = heapq.heappop(heap)
-        if not (alive_v[u] and alive_v[v]):
-            continue
+    while n_alive > target_vertex_count and costs:
+        least = costs[0]
+        bucket = buckets[least]
+        if len(bucket) == 1:
+            u, v, ver_u, ver_v, pos = bucket[0]
+            heappop(costs)
+            del buckets[least]
+        else:
+            u, v, ver_u, ver_v, pos = heappop(bucket)
         if version[u] != ver_u or version[v] != ver_v:
             continue
-        dead = v_tris[u] & v_tris[v]
+        tu, tv = v_tris[u], v_tris[v]
+        dead = tu & tv
         if not dead:
             continue
-        # link condition: shared neighbors must be exactly the two wing vertices
-        shared = neighbors(u) & neighbors(v)
-        wing = {w for ti in dead for w in tris[ti]} - {u, v}
-        if shared != wing or len(wing) != 2:
+        # link condition: the vertices that u and v both touch must be those
+        # of the triangles on the edge, u, v and two wing vertices
+        ring = {w for ti in dead for w in tris[ti]}
+        if len(ring) != 4:
             continue
-        # simulate: move u to pos, delete triangles containing both u and v
+        nbrs = {w for ti in tu for w in tris[ti]}
+        nbrs_v = {w for ti in tv for w in tris[ti]}
+        if nbrs & nbrs_v != ring:
+            continue
+        # simulate: move u and v to pos; reject a surviving triangle whose
+        # normal flips or whose area vanishes
+        px, py, pz = pos
         ok = True
-        for ti in (v_tris[u] | v_tris[v]) - dead:
-            a, b, c = tris[ti]
-            pa, pb, pc = verts[a], verts[b], verts[c]
-            no = _tri_normal(pa, pb, pc)
-            nn = _tri_normal(pos if a == u or a == v else pa,
-                             pos if b == u or b == v else pb,
-                             pos if c == u or c == v else pc)
-            nn_sq = nn[0] * nn[0] + nn[1] * nn[1] + nn[2] * nn[2]
-            if nn_sq < 4e-18 or no[0] * nn[0] + no[1] * nn[1] + no[2] * nn[2] <= 0:
-                ok = False
+        for m, ts in ((u, tu), (v, tv)):
+            for ti in ts:
+                if ti in dead:
+                    continue
+                a, b, c = tris[ti]
+                (xa, ya, za), (xb, yb, zb), (xc, yc, zc) = verts[a], verts[b], verts[c]
+                ax, ay, az = xb - xa, yb - ya, zb - za
+                bx, by, bz = xc - xa, yc - ya, zc - za
+                o0, o1, o2 = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+                if a == m:
+                    xa, ya, za = px, py, pz
+                if b == m:
+                    xb, yb, zb = px, py, pz
+                if c == m:
+                    xc, yc, zc = px, py, pz
+                ax, ay, az = xb - xa, yb - ya, zb - za
+                bx, by, bz = xc - xa, yc - ya, zc - za
+                n0, n1, n2 = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+                if n0 * n0 + n1 * n1 + n2 * n2 < 4e-18 or o0 * n0 + o1 * n1 + o2 * n2 <= 0:
+                    ok = False
+                    break
+            if not ok:
                 break
         if not ok:
             continue
-        # commit
+        # commit: u takes pos and the summed quadric, v's triangles pass to u
         verts[u] = pos
         Q[u] = tuple(map(add, Q[u], Q[v]))
         for ti in dead:
             alive_tri[ti] = False
             for w in tris[ti]:
                 v_tris[w].discard(ti)
-        for ti in list(v_tris[v]):
-            t = tris[ti]
-            tris[ti] = tuple(u if w == v else w for w in t)
-            v_tris[u].add(ti)
-            v_tris[v].discard(ti)
-        alive_v[v] = False
+        for ti in tv:
+            a, b, c = tris[ti]
+            tris[ti] = (u if a == v else a, u if b == v else b, u if c == v else c)
+        tu |= tv
+        tv.clear()
+        version[v] = -1
         n_alive -= 1
         version[u] += 1
-        for w in neighbors(u):
-            a, b = (u, w) if u < w else (w, u)
-            c, x = _collapse(tuple(map(add, Q[a], Q[b])), verts[a], verts[b])
-            heapq.heappush(heap, (c, a, b, version[a], version[b], x))
+        # u's neighbours: every vertex of u's and v's surviving triangles; a
+        # wing keeps u only through a triangle that survives (open surfaces)
+        nbrs |= nbrs_v
+        nbrs -= ring
+        for w in ring:
+            if w != u and w != v and not v_tris[w].isdisjoint(tu):
+                nbrs.add(w)
+        # re-cost every edge of u: _collapse_many's expressions on floats
+        u00, u01, u02, u03, u11, u12, u13, u22, u23, u33 = Q[u]
+        ver_u = version[u]
+        for w in nbrs:
+            w00, w01, w02, w03, w11, w12, w13, w22, w23, w33 = Q[w]
+            a00, a01, a02, q03 = u00 + w00, u01 + w01, u02 + w02, u03 + w03
+            a11, a12, q13, a22 = u11 + w11, u12 + w12, u13 + w13, u22 + w22
+            q23, q33 = u23 + w23, u33 + w33
+            c0 = a11 * a22 - a12 * a12
+            c1 = a01 * a22 - a12 * a02
+            c2 = a01 * a12 - a11 * a02
+            det = a00 * c0 - a01 * c1 + a02 * c2
+            scale = max(abs(a00), abs(a11), abs(a22), 1e-300)
+            x = None
+            if abs(det) > 1e-10 * scale**3:
+                b0, b1, b2 = -q03, -q13, -q23
+                d1 = b1 * a22 - a12 * b2
+                d3 = a01 * b2 - b1 * a02
+                x0 = (b0 * c0 - a01 * d1 + a02 * (b1 * a12 - a11 * b2)) / det
+                x1 = (a00 * d1 - b0 * c1 + a02 * d3) / det
+                x2 = (a00 * (a11 * b2 - b1 * a12) - a01 * d3 + b0 * c2) / det
+                # the ball test is symmetric in the two ends, bit for bit
+                wx, wy, wz = verts[w]
+                if ((x0 - px) * (x0 - wx) + (x1 - py) * (x1 - wy) + (x2 - pz) * (x2 - wz)
+                        <= (wx - px) * (wx - px) + (wy - py) * (wy - py) + (wz - pz) * (wz - pz)):
+                    x = (x0, x1, x2)
+                    cw = (
+                        a00 * x0 * x0 + a11 * x1 * x1 + a22 * x2 * x2
+                        + 2.0 * (a01 * x0 * x1 + a02 * x0 * x2 + a12 * x1 * x2)
+                        + 2.0 * (q03 * x0 + q13 * x1 + q23 * x2)
+                        + q33
+                    )
+            if u < w:
+                a, b, ver_a, ver_b = u, w, ver_u, version[w]
+            else:
+                a, b, ver_a, ver_b = w, u, version[w], ver_u
+            if x is None:
+                cw, x = _collapse_fallback(
+                    (a00, a01, a02, q03, a11, a12, q13, a22, q23, q33), verts[a], verts[b])
+            bucket = buckets.get(cw)
+            if bucket is None:
+                buckets[cw] = [(a, b, ver_a, ver_b, x)]
+                heappush(costs, cw)
+            else:
+                heappush(bucket, (a, b, ver_a, ver_b, x))
 
     # compact
     used = sorted({w for ti, ok in enumerate(alive_tri) if ok for w in tris[ti]})

@@ -28,7 +28,8 @@ from .volume import ImageVolume, LabelVolume, VolumeError, resample_z, write_mhd
 
 __all__ = [
     "PipelineError", "MeshConfig", "load_config", "validate_config", "stage_configs",
-    "make_phantom", "extract_surface", "build_tetmesh", "write_shifts", "write_alignment",
+    "make_phantom", "extract_surface", "build_tetmesh", "write_shifts", "write_volumes",
+    "write_phantom", "write_alignment",
     "write_registration", "run", "report",
 ]
 
@@ -199,10 +200,6 @@ class _Tree:
         self.files.append(rel)
         return full
 
-    def add_mhd(self, rel: str, vol) -> None:
-        write_mhd(vol, self.path(rel))
-        self.files.append(rel[:-4] + ".raw")
-
     def add_dir(self, rel: str, names: list[str]) -> None:
         """Track ``names``, written in the directory ``rel``."""
         self.files += [f"{rel}/{name}" for name in names]
@@ -220,14 +217,31 @@ def write_shifts(path: str, shifts: np.ndarray) -> None:
                     for k, (dx, dy) in enumerate(frame)])
 
 
-def write_alignment(directory: str, frames, labels, shifts) -> list[str]:
-    """Alignment stage's files: ``frame_XX`` and ``labels_XX`` volumes and
-    ``corrected_shifts.csv``; returns their names within ``directory``."""
+def write_volumes(directory: str, frames, labels) -> list[str]:
+    """``frame_XX`` and ``labels_XX`` volumes; returns their names within
+    ``directory``."""
     os.makedirs(directory, exist_ok=True)
     names = []
     for t, (frame, label) in enumerate(zip(frames, labels)):
         names += _write_mhd(directory, f"frame_{t:02d}", frame)
         names += _write_mhd(directory, f"labels_{t:02d}", label)
+    return names
+
+
+def write_phantom(directory: str, spacing, frames, labels, fields) -> list[str]:
+    """Phantom stage's files: ``frame_XX`` and ``labels_XX`` volumes and the
+    ground-truth ``gt_field_XX`` on the ``spacing`` grid; returns their names
+    within ``directory``."""
+    names = write_volumes(directory, frames, labels)
+    for t, field in enumerate(fields):
+        names += _write_mhd(directory, f"gt_field_{t:02d}", ImageVolume(field, spacing))
+    return names
+
+
+def write_alignment(directory: str, frames, labels, shifts) -> list[str]:
+    """Alignment stage's files: ``frame_XX`` and ``labels_XX`` volumes and
+    ``corrected_shifts.csv``; returns their names within ``directory``."""
+    names = write_volumes(directory, frames, labels)
     write_shifts(os.path.join(directory, "corrected_shifts.csv"), shifts)
     return names + ["corrected_shifts.csv"]
 
@@ -315,10 +329,8 @@ def run(config, output_dir: str) -> str:
     # --- phantom -----------------------------------------------------------
     with _stage(stages_done, "phantom"):
         frames, gt_labels, gt_fields, misaligned = make_phantom(spec, cfg["seed"])
-        for t in range(n_frames):
-            tree.add_mhd(f"phantom/frame_{t:02d}.mhd", frames[t])
-            tree.add_mhd(f"phantom/labels_{t:02d}.mhd", gt_labels[t])
-            tree.add_mhd(f"phantom/gt_field_{t:02d}.mhd", ImageVolume(gt_fields[t], spec.spacing))
+        tree.add_dir("phantom", write_phantom(os.path.join(output_dir, "phantom"), spec.spacing,
+                                              frames, gt_labels, gt_fields))
 
     # --- misalignment + alignment -----------------------------------------
     work_frames, work_labels = frames, gt_labels

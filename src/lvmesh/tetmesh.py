@@ -113,22 +113,35 @@ def scaled_jacobian(tet_vertices: np.ndarray) -> float:
 def scaled_jacobian_many(tets_xyz: np.ndarray) -> np.ndarray:
     """Vectorized scaled Jacobian for an (M, 4, 3) stack of tets."""
     p = np.asarray(tets_xyz, dtype=np.float64)
-    vals = np.full((p.shape[0], 4), np.inf)
+    return _corner_jacobians([p[:, k] for k in range(4)])[0]
+
+
+def _corner_jacobians(p):
+    """Scaled Jacobian of each tet with corner arrays p[0..3], each (M, 3),
+    and corner 0's determinant, six times the signed volume."""
+    vals = np.empty((len(p[0]), 4))
+    lengths = {}
     for ci, (a, b, c) in enumerate(_CORNER_ORDERS):
-        e1 = p[:, a] - p[:, ci]
-        e2 = p[:, b] - p[:, ci]
-        e3 = p[:, c] - p[:, ci]
+        e1, e2, e3 = p[a] - p[ci], p[b] - p[ci], p[c] - p[ci]
         det = np.einsum("ij,ij->i", e1, np.cross(e2, e3))
-        den = (
-            np.linalg.norm(e1, axis=1)
-            * np.linalg.norm(e2, axis=1)
-            * np.linalg.norm(e3, axis=1)
-        )
+        if ci == 0:
+            det0 = det
+        den = (_edge_length(lengths, ci, a, e1) * _edge_length(lengths, ci, b, e2)
+               * _edge_length(lengths, ci, c, e3))
         with np.errstate(invalid="ignore", divide="ignore"):
-            v = np.where(den > 0, det / np.maximum(den, 1e-300), 0.0)
-        vals[:, ci] = v
+            vals[:, ci] = np.where(den > 0, det / np.maximum(den, 1e-300), 0.0)
     out = vals.min(axis=1) / _REGULAR_CORNER
-    return np.clip(out, -1.0, 1.0)
+    return np.clip(out, -1.0, 1.0), det0
+
+
+def _edge_length(lengths, i, j, d):
+    """Length of the edge d between corners i and j, computed at whichever
+    end comes first: p[j] - p[i] and p[i] - p[j] square alike, and the
+    arithmetic is np.linalg.norm's."""
+    key = (i, j) if i < j else (j, i)
+    if key not in lengths:
+        lengths[key] = np.sqrt(np.add.reduce(d * d, axis=1))
+    return lengths[key]
 
 
 def radius_edge(tet_vertices: np.ndarray) -> float:
@@ -240,9 +253,9 @@ def tetrahedralize(surface: SurfaceMesh, max_volume_mm3: float) -> TetMesh:
 
 def assess(mesh: TetMesh) -> QualityReport:
     """Per-element quality; flags the mesh invalid on any non-positive element."""
-    p = mesh.vertices[mesh.tets]
-    sj = scaled_jacobian_many(p)
-    vol = mesh.volumes()
+    corners = [mesh.vertices.take(mesh.tets[:, k], axis=0) for k in range(4)]
+    sj, det0 = _corner_jacobians(corners)
+    vol = det0 / 6.0  # corner 0's edges are TetMesh.volumes()'s
     n_bad = int(np.sum(sj <= 0.0))
     return QualityReport(
         scaled_jacobian=sj,

@@ -381,6 +381,44 @@ def decimate(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
 
 
 # ---------------------------------------------------------------------------
+# Tet quality as first written: each corner's three edges sliced from one
+# (M, 4, 3) gather and measured on their own, volumes from a second gather.
+# ``tetmesh.assess`` must match it bit for bit.
+
+_REGULAR_CORNER = np.sqrt(2.0) / 2.0
+_CORNER_ORDERS = [[1, 2, 3], [2, 0, 3], [3, 0, 1], [0, 2, 1]]
+
+
+def scaled_jacobian_many(tets_xyz: np.ndarray) -> np.ndarray:
+    p = np.asarray(tets_xyz, dtype=np.float64)
+    vals = np.full((p.shape[0], 4), np.inf)
+    for ci, (a, b, c) in enumerate(_CORNER_ORDERS):
+        e1 = p[:, a] - p[:, ci]
+        e2 = p[:, b] - p[:, ci]
+        e3 = p[:, c] - p[:, ci]
+        det = np.einsum("ij,ij->i", e1, np.cross(e2, e3))
+        den = (
+            np.linalg.norm(e1, axis=1)
+            * np.linalg.norm(e2, axis=1)
+            * np.linalg.norm(e3, axis=1)
+        )
+        with np.errstate(invalid="ignore", divide="ignore"):
+            v = np.where(den > 0, det / np.maximum(den, 1e-300), 0.0)
+        vals[:, ci] = v
+    out = vals.min(axis=1) / _REGULAR_CORNER
+    return np.clip(out, -1.0, 1.0)
+
+
+def tet_volumes(mesh: TetMesh) -> np.ndarray:
+    v = mesh.vertices
+    t = mesh.tets
+    a = v[t[:, 1]] - v[t[:, 0]]
+    b = v[t[:, 2]] - v[t[:, 0]]
+    c = v[t[:, 3]] - v[t[:, 0]]
+    return np.einsum("ij,ij->i", a, np.cross(b, c)) / 6.0
+
+
+# ---------------------------------------------------------------------------
 # VTK writers as first written: one ``write`` per line.  The library's
 # writers must produce byte-identical files.
 

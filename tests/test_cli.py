@@ -69,6 +69,7 @@ def test_phantom_outputs(dataset):
     assert os.path.exists(os.path.join(dataset, "gt_field_02.mhd"))
     # the slices are shifted only when the config asks for it
     assert not os.path.exists(os.path.join(dataset, "applied_shifts.csv"))
+    assert not os.path.exists(os.path.join(dataset, "misaligned"))
     vol = read_mhd(os.path.join(dataset, "frame_00.mhd"))
     assert vol.data.shape == (32, 32, 32)
 
@@ -128,18 +129,23 @@ def test_cli_reproduces_pipeline_alignment(tmp_path):
     cfg = {**TINY_CONFIG, "phantom": {**TINY_CONFIG["phantom"], "misalign_amplitude_mm": 2.0}}
     cfg_path = _write_config(tmp_path, cfg)
     pipeline.run(cfg, str(tmp_path / "run"))
-    data, cli = str(tmp_path / "data"), tmp_path / "cli"
-    assert main(["phantom", "--config", cfg_path, "--out", data]) == 0
-    assert main(["align", "--input", data, "--out", str(cli / "align")]) == 0
+    cli = tmp_path / "cli"
+    misaligned = cli / "phantom" / "misaligned"
+    assert main(["phantom", "--config", cfg_path, "--out", str(cli / "phantom")]) == 0
+    assert main(["align", "--input", str(misaligned), "--out", str(cli / "align")]) == 0
     assert main(["register", "--config", cfg_path, "--input", str(cli / "align"),
                  "--out", str(cli / "register")]) == 0
 
     # the pipeline keeps the applied shifts beside the aligned volumes
-    os.replace(os.path.join(data, "applied_shifts.csv"), cli / "align" / "applied_shifts.csv")
-    files = _assert_same_files(tmp_path, ("align", "register"))
+    os.replace(misaligned / "applied_shifts.csv", cli / "align" / "applied_shifts.csv")
+    files = _assert_same_files(tmp_path, ("phantom", "align", "register"))
     n = cfg["phantom"]["n_frames"]
-    assert {f"align/labels_{n - 1:02d}.raw", "align/corrected_shifts.csv",
+    assert {f"phantom/frame_{n - 1:02d}.raw", f"phantom/gt_field_{n - 1:02d}.raw",
+            f"align/labels_{n - 1:02d}.raw", "align/corrected_shifts.csv",
             "align/applied_shifts.csv", "register/loss_fixed_reference_01.csv"} <= set(files)
+    # the misaligned copies differ from the phantom the pipeline lists
+    assert (misaligned / f"frame_{n - 1:02d}.raw").read_bytes() != (
+        cli / "phantom" / f"frame_{n - 1:02d}.raw").read_bytes()
     with open(cli / "align" / "applied_shifts.csv") as fh:
         assert any(row["dx_vox"] != "0" or row["dy_vox"] != "0" for row in csv.DictReader(fh))
 
@@ -182,9 +188,11 @@ def test_align_cli(tmp_path):
     data = str(tmp_path / "data")
     rc = main(["phantom", "--config", _write_config(tmp_path, cfg), "--out", data])
     assert rc == 0
-    assert os.path.exists(os.path.join(data, "applied_shifts.csv"))
+    misaligned = os.path.join(data, "misaligned")
+    assert os.path.exists(os.path.join(misaligned, "applied_shifts.csv"))
+    assert not os.path.exists(os.path.join(data, "applied_shifts.csv"))
     out = str(tmp_path / "aligned")
-    rc = main(["align", "--input", data, "--out", out])
+    rc = main(["align", "--input", misaligned, "--out", out])
     assert rc == 0
     assert os.path.exists(os.path.join(out, "corrected_shifts.csv"))
     assert os.path.exists(os.path.join(out, "frame_01.mhd"))

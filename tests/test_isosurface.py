@@ -213,3 +213,18 @@ def test_decimate_keeps_topology_and_matches_oracle_on_random_blobs(seed):
     out = _decimate_like_oracle(surf, max(4, surf.n_vertices // 4))
     assert out.is_watertight()
     assert out.euler_characteristic() == surf.euler_characteristic()
+
+
+@settings(max_examples=20)
+@given(st.integers(0, 2**32 - 1), st.floats(0.02, 0.4))
+def test_decimate_matches_oracle_on_open_surfaces(seed, drop):
+    # random holes give boundary edges, edges with a single wing and
+    # vertices whose triangles are all gone
+    rng = np.random.default_rng(seed)
+    mask = random_blob(rng, (8, 8, 8))
+    surf = marching_cubes(LabelVolume(mask.astype(np.int32), (1, 1, 1)), 1)
+    keep = rng.random(len(surf.triangles)) >= drop
+    keep[rng.integers(len(keep))] = False
+    holed = SurfaceMesh(surf.vertices, surf.triangles[keep])
+    assert not holed.is_watertight()
+    _decimate_like_oracle(holed, max(4, surf.n_vertices // 4))

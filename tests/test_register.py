@@ -411,7 +411,7 @@ def _assert_bending_within_rounding(ffd, pts):
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3])
 @pytest.mark.parametrize("lattice", FFD_LATTICES)
-def test_ffd_kernels_match_oracle_bitwise(lattice, scale):
+def test_ffd_kernels_match_oracle_within_rounding(lattice, scale):
     rng = np.random.default_rng(11)
     ffd = _ffd_lattice(*lattice)
     ffd = dataclasses.replace(ffd, coeffs=scale * rng.standard_normal(ffd.coeffs.shape))

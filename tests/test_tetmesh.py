@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _oracles
 from lvmesh import geometry
 from lvmesh.isosurface import SurfaceMesh
 from lvmesh.register import DisplacementField
@@ -12,6 +15,7 @@ from lvmesh.tetmesh import (
     radius_edge,
     radius_edge_many,
     scaled_jacobian,
+    scaled_jacobian_many,
     tetrahedralize,
 )
 
@@ -143,6 +147,58 @@ def test_assess_flags_inverted_elements():
     q = assess(mesh)
     assert not q.valid
     assert q.n_nonpositive == 1
+
+
+def _assert_quality_matches_oracle(mesh):
+    q = assess(mesh)
+    ref_sj = _oracles.scaled_jacobian_many(mesh.vertices[mesh.tets])
+    ref_vol = _oracles.tet_volumes(mesh)
+    assert q.scaled_jacobian.tobytes() == ref_sj.tobytes()
+    assert q.volumes.tobytes() == ref_vol.tobytes()
+    assert scaled_jacobian_many(mesh.vertices[mesh.tets]).tobytes() == ref_sj.tobytes()
+    assert mesh.volumes().tobytes() == ref_vol.tobytes()
+    return ref_sj, ref_vol
+
+
+def test_quality_matches_oracle_bitwise(ed_tetmesh):
+    # the ED mesh, and jittered copies in which many tets are inverted
+    _assert_quality_matches_oracle(ed_tetmesh)
+    rng = np.random.default_rng(4)
+    for sigma in (0.3, 1.0):
+        jittered = TetMesh(ed_tetmesh.vertices + rng.normal(0.0, sigma, ed_tetmesh.vertices.shape),
+                           ed_tetmesh.tets, ed_tetmesh.boundary_map)
+        sj, _ = _assert_quality_matches_oracle(jittered)
+        assert (sj < 0).any() and (sj > 0).any()
+
+
+def test_quality_matches_oracle_on_degenerate_tets():
+    v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+                  [0.0, 0.0, 1.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                  [1e-110, 0.0, 0.0], [0.0, 1e-110, 0.0], [0.0, 0.0, 1e-110]])
+    tets = np.array([
+        [0, 1, 2, 4],  # positive
+        [0, 2, 1, 4],  # inverted
+        [0, 1, 2, 3],  # coplanar: zero volume, non-zero edges
+        [0, 1, 5, 4],  # three collinear corners
+        [0, 6, 1, 2],  # two coincident corners: a zero edge, den == 0
+        [0, 6, 0, 6],  # all four corners coincide
+        [0, 7, 8, 9],  # edge products underflow: den == 0 at non-zero edges
+    ])
+    sj, vol = _assert_quality_matches_oracle(TetMesh(v, tets, np.arange(3)))
+    assert sj[0] > 0 > sj[1]
+    assert sj[2] == sj[3] == sj[4] == sj[5] == sj[6] == 0.0
+    assert vol[2] == vol[3] == vol[4] == vol[5] == 0.0
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e-3, 1e4]))
+def test_quality_matches_oracle_on_lattice_tets(seed, scale):
+    # corners on a 3x3x3 integer lattice: many exact zeros in the edge
+    # components, coplanar and coincident corners, both orientations
+    rng = np.random.default_rng(seed)
+    v = scale * rng.integers(-1, 2, size=(12, 3)).astype(np.float64)
+    tets = rng.integers(0, 12, size=(40, 4))
+    _assert_quality_matches_oracle(TetMesh(v, tets, np.arange(3)))
 
 
 def test_propagate_volume_translation(ed_tetmesh):
