@@ -4,7 +4,11 @@ Extraction polygonizes the label indicator at isovalue 0.5 with a
 table-driven tetrahedral decomposition of each grid cube (Freudenthal
 6-tet split, consistent across cube faces).  Tetrahedra admit no ambiguous
 sign configurations, so the output is watertight and manifold by
-construction; vertices are welded on shared grid edges.
+construction; vertices are welded on shared grid edges.  The case table
+winds every triangle outward, away from the inside corners.  That winding
+is exact: inside one tet the interpolant is affine, so a case's crossings
+lie on one plane with the inside corners strictly on one side, and which
+side does not depend on where the crossings fall on their edges.
 """
 
 from __future__ import annotations
@@ -22,9 +26,14 @@ from . import geometry
 from .register import DisplacementField
 from .volume import LabelVolume
 
-__all__ = ["SurfaceMesh", "IsosurfaceError", "marching_cubes", "decimate", "propagate_surface"]
+__all__ = [
+    "ISO_POLICIES", "SurfaceMesh", "IsosurfaceError", "marching_cubes", "decimate", "propagate_surface",
+]
 
 log = logging.getLogger(__name__)
+
+# how marching_cubes treats the label indicator; see its docstring
+ISO_POLICIES = ("binary", "smooth")
 
 
 class IsosurfaceError(Exception):
@@ -62,50 +71,41 @@ class SurfaceMesh:
 
 # Freudenthal split: each tet follows one axis-insertion order from cube
 # corner (0,0,0) to (1,1,1); shared faces agree between neighboring cubes.
-_CUBE_TETS = []
-for _perm in itertools.permutations(range(3)):
-    corner = np.zeros(3, dtype=np.int64)
-    tet = [corner.copy()]
-    for axis in _perm:
-        corner = corner.copy()
-        corner[axis] = 1
-        tet.append(corner)
-    _CUBE_TETS.append(np.array(tet))
-
-_TET_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+# Along that order the corners' flat grid ids increase.
+_CUBE_TETS = [np.cumsum([(0, 0, 0), *np.eye(3, dtype=np.int64)[list(perm)]], axis=0)
+              for perm in itertools.permutations(range(3))]
 
 
-def _case_table():
-    """mask (4-bit inside pattern) -> list of triangles as tet-edge triples."""
-    edge_of = {frozenset(e): i for i, e in enumerate(_TET_EDGES)}
-    table = {}
+def _tet_cases(tet):
+    """mask (4-bit inside pattern) -> triangles as triples of corner pairs
+    (a, b) with a < b, each wound so its normal points away from the inside
+    corners, as judged at the edge midpoints."""
+    cases = []
     for mask in range(16):
         inside = [i for i in range(4) if mask >> i & 1]
         outside = [i for i in range(4) if not mask >> i & 1]
-        tris = []
-        if len(inside) == 1:
-            i = inside[0]
-            e = [edge_of[frozenset((i, j))] for j in outside]
-            tris = [(e[0], e[1], e[2])]
-        elif len(inside) == 3:
-            i = outside[0]
-            e = [edge_of[frozenset((i, j))] for j in inside]
-            tris = [(e[0], e[1], e[2])]
-        elif len(inside) == 2:
-            i, j = inside
-            k, l = outside
-            q = [
-                edge_of[frozenset((i, k))],
-                edge_of[frozenset((i, l))],
-                edge_of[frozenset((j, l))],
-                edge_of[frozenset((j, k))],
-            ]
+        if len(inside) == 2:
+            (i, j), (k, l) = inside, outside
+            q = [(i, k), (i, l), (j, l), (j, k)]
             tris = [(q[0], q[1], q[2]), (q[0], q[2], q[3])]
-        table[mask] = tris
-    return table
+        elif len(inside) in (1, 3):
+            (apex,), others = (inside, outside) if len(inside) == 1 else (outside, inside)
+            tris = [[(apex, j) for j in others]]
+        else:
+            tris = []
+        wound = []
+        for tri in tris:
+            tri = [tuple(sorted(e)) for e in tri]
+            a, b, c = (tet[list(e)].mean(axis=0) for e in tri)
+            away = (a + b + c) / 3.0 - tet[inside].mean(axis=0)
+            if np.dot(np.cross(b - a, c - a), away) < 0:
+                tri = [tri[0], tri[2], tri[1]]
+            wound.append(tri)
+        cases.append(wound)
+    return cases
 
 
-_CASE_TABLE = _case_table()
+_TET_CASES = [_tet_cases(tet) for tet in _CUBE_TETS]
 
 
 def marching_cubes(labels: LabelVolume, target_label: int, iso_policy: str = "binary") -> SurfaceMesh:
@@ -115,7 +115,7 @@ def marching_cubes(labels: LabelVolume, target_label: int, iso_policy: str = "bi
     applies a 3x3x3 box filter first, which recovers sub-voxel geometry for
     smooth shapes at the cost of eroding single-voxel features.
     """
-    if iso_policy not in ("binary", "smooth"):
+    if iso_policy not in ISO_POLICIES:
         raise IsosurfaceError(f"unknown iso policy {iso_policy!r}")
     indicator = (labels.data == target_label).astype(np.float64)
     if not indicator.any():
@@ -138,81 +138,30 @@ def marching_cubes(labels: LabelVolume, target_label: int, iso_policy: str = "bi
     if cz.size == 0:
         raise IsosurfaceError("no isosurface crossings found")
 
-    def gid(ix, iy, iz):
-        return (iz * ny + iy) * nx + ix
-
-    tri_keys_a = []
-    tri_keys_b = []
-    tri_keys_c = []
-    inside_centroid = []
-    for tet in _CUBE_TETS:
-        vx = [cx + tet[i][0] for i in range(4)]
-        vy = [cy + tet[i][1] for i in range(4)]
-        vz = [cz + tet[i][2] for i in range(4)]
-        vals = np.stack([f[vz[i], vy[i], vx[i]] for i in range(4)])  # (4, K)
-        gids = np.stack([gid(vx[i], vy[i], vz[i]) for i in range(4)])
-        mask = ((vals > iso) << np.arange(4)[:, None]).sum(axis=0)
+    # a vertex is keyed by its grid edge, min id * nvox + max id
+    flat = f.reshape(-1)
+    nvox = np.int64(nx * ny * nz)
+    cube = (cz * ny + cy) * nx + cx
+    keys = []
+    for tet, cases in zip(_CUBE_TETS, _TET_CASES):
+        gids = cube + ((tet[:, 2] * ny + tet[:, 1]) * nx + tet[:, 0])[:, None]  # (4, K)
+        mask = ((flat[gids] > iso) << np.arange(4)[:, None]).sum(axis=0)
         for m in range(1, 15):
-            tris = _CASE_TABLE[m]
-            if not tris:
-                continue
             sel = np.nonzero(mask == m)[0]
-            if sel.size == 0:
-                continue
-            ins = [i for i in range(4) if m >> i & 1]
-            cen = np.zeros((sel.size, 3))
-            for i in ins:
-                cen += np.stack([vx[i][sel], vy[i][sel], vz[i][sel]], axis=1)
-            cen /= len(ins)
-            for tri in tris:
-                keys = []
-                for e in tri:
-                    a, b = _TET_EDGES[e]
-                    ka = gids[a][sel]
-                    kb = gids[b][sel]
-                    keys.append(np.where(ka < kb, ka * np.int64(nx * ny * nz) + kb,
-                                         kb * np.int64(nx * ny * nz) + ka))
-                tri_keys_a.append(keys[0])
-                tri_keys_b.append(keys[1])
-                tri_keys_c.append(keys[2])
-                inside_centroid.append(cen)
-
-    ka = np.concatenate(tri_keys_a)
-    kb = np.concatenate(tri_keys_b)
-    kc = np.concatenate(tri_keys_c)
-    cen = np.concatenate(inside_centroid)
-
-    all_keys = np.concatenate([ka, kb, kc])
-    uniq, inv = np.unique(all_keys, return_inverse=True)
+            for tri in cases[m]:
+                keys.append([gids[a, sel] * nvox + gids[b, sel] for a, b in tri])
+    uniq, inv = np.unique(np.concatenate(keys, axis=1), return_inverse=True)
     tris = inv.reshape(3, -1).T.copy()
 
     # edge endpoint grid vertices and interpolated positions (index space)
-    nvox = np.int64(nx * ny * nz)
-    g1 = uniq // nvox
-    g2 = uniq % nvox
-    def coords(g):
-        iz, r = np.divmod(g, nx * ny)
-        iy, ix = np.divmod(r, nx)
-        return np.stack([ix, iy, iz], axis=1).astype(np.float64)
-    p1 = coords(g1)
-    p2 = coords(g2)
-    f1 = f.reshape(-1)[g1]
-    f2 = f.reshape(-1)[g2]
-    t = (iso - f1) / (f2 - f1)
+    g1, g2 = np.divmod(uniq, nvox)
+    p1, p2 = (np.stack(np.unravel_index(g, f.shape)[::-1], axis=1).astype(np.float64)
+              for g in (g1, g2))
+    t = (iso - flat[g1]) / (flat[g2] - flat[g1])
     pos_idx = p1 + t[:, None] * (p2 - p1)  # padded index space
 
-    spacing = np.asarray(labels.spacing)
-    origin = np.asarray(labels.origin)
-    verts = origin + (pos_idx - 1.0) * spacing  # remove the pad offset
-
-    # orient every triangle so its normal points away from the inside region
-    a, b, c = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
-    cen_mm = origin + (cen - 1.0) * spacing
-    n = np.cross(b - a, c - a)
-    outward = np.einsum("ij,ij->i", n, (a + b + c) / 3.0 - cen_mm)
-    flip = outward < 0
-    tris[flip] = tris[flip][:, [0, 2, 1]]
-
+    # remove the pad offset
+    verts = np.asarray(labels.origin) + (pos_idx - 1.0) * np.asarray(labels.spacing)
     return SurfaceMesh(verts, tris)
 
 

@@ -51,14 +51,15 @@ class MeshConfig:
     defaults and ranges are set."""
 
     resample_mm: float = 1.0  # slice thickness the labels are resampled to
-    iso_policy: str = "smooth"  # binary | smooth
+    iso_policy: str = "smooth"  # one of isosurface.ISO_POLICIES
     target_vertices: int = 2000  # decimation target
     max_tet_volume_mm3: float = 9.0
 
     def __post_init__(self):
         _require(self.resample_mm > 0, "mesh.resample_mm must be positive")
-        _require(self.iso_policy in ("binary", "smooth"),
-                 f"mesh.iso_policy must be 'binary' or 'smooth', got {self.iso_policy!r}")
+        _require(self.iso_policy in isosurface.ISO_POLICIES,
+                 f"mesh.iso_policy must be {' or '.join(map(repr, isosurface.ISO_POLICIES))}, "
+                 f"got {self.iso_policy!r}")
         _require(self.target_vertices >= 4, "mesh.target_vertices must be >= 4")
         _require(self.max_tet_volume_mm3 > 0, "mesh.max_tet_volume_mm3 must be positive")
 

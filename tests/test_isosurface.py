@@ -52,16 +52,21 @@ def test_border_touching_labels_stay_closed():
     assert surf.volume() > 0
 
 
-def test_watertight_on_100_random_blobs():
+@pytest.mark.parametrize("iso_policy", isosurface.ISO_POLICIES)
+def test_watertight_on_100_random_blobs(iso_policy):
     rng = np.random.default_rng(0)
     for _ in range(100):
         mask = random_blob(rng)
         labels = LabelVolume(mask.astype(np.int32), (1, 1, 1))
-        surf = marching_cubes(labels, 1)
+        surf = marching_cubes(labels, 1, iso_policy=iso_policy)
         assert surf.is_watertight()
-        # every edge is used exactly twice with opposite orientation
+        # every edge is used exactly twice with opposite orientation: twice
+        # undirected, and each directed edge once
         _, counts = geometry.edge_use_counts(surf.triangles)
         assert np.all(counts == 2)
+        directed = surf.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        _, counts = np.unique(directed, axis=0, return_counts=True)
+        assert np.all(counts == 1)
         assert surf.volume() > 0
 
 

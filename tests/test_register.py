@@ -426,7 +426,7 @@ def test_ffd_kernels_match_oracle_within_rounding(lattice, scale):
 
 @pytest.mark.parametrize("bending", [0.0, 0.01])
 @pytest.mark.parametrize("samples", [1, 2048])
-def test_register_ffd_matches_oracle_bitwise(bending, samples):
+def test_register_ffd_matches_oracle_within_rounding(bending, samples):
     rng = np.random.default_rng(12)
     shape = (10, 12, 14)
     fixed = ImageVolume(rng.standard_normal(shape), (1.0, 1.2, 0.9), (1.0, -2.0, 3.0))
