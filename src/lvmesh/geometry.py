@@ -21,14 +21,13 @@ __all__ = [
     "points_to_surface_distance",
 ]
 
-# The exact surface queries below test flattened (query, triangle) pairs:
-# one KD-tree ball search per block of _QUERY_BLOCK queries, one vectorized
-# test per block of at most _PAIR_BLOCK pairs, which bounds their temporary
-# arrays to a few MiB.  The distance query splits the triangles into
-# _RADIUS_BUCKETS equal-count groups by centroid-to-corner radius.
+# The exact surface queries below test flattened (query, triangle) pairs in
+# blocks, which bounds their temporary arrays to a few MiB: the ray test
+# makes one ball search per _QUERY_BLOCK triangles, the distance query one
+# KD-tree pair search per _QUERY_BLOCK queries and triangle radius class,
+# and both measure at most _PAIR_BLOCK pairs per vectorized test.
 _QUERY_BLOCK = 1024
 _PAIR_BLOCK = 8192
-_RADIUS_BUCKETS = 4
 
 
 def triangle_normals(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -70,6 +69,13 @@ def euler_characteristic(vertices, triangles) -> int:
     return nv - len(keys) + len(triangles)
 
 
+def _check_finite(points: np.ndarray, vertices: np.ndarray) -> None:
+    if not np.isfinite(points).all():
+        raise ValueError("query points must be finite")
+    if not np.isfinite(vertices).all():
+        raise ValueError("surface vertices must be finite")
+
+
 def _ball_pairs(tree: cKDTree, queries: np.ndarray, radii: np.ndarray):
     """Flattened (query, tree point) index pairs of per-query ball searches."""
     hits = tree.query_ball_point(queries, radii, return_sorted=False)
@@ -90,7 +96,8 @@ def _ray_crossings(points: np.ndarray, vertices: np.ndarray, triangles: np.ndarr
     search; the (triangle, point) pairs are then tested together.
     """
     pts = np.asarray(points, dtype=np.float64)
-    verts = vertices.astype(np.float64)
+    verts = np.asarray(vertices, dtype=np.float64)
+    _check_finite(pts, verts)
     scale = max(verts.max(axis=0) - verts.min(axis=0)) if len(verts) else 1.0
     jitter = np.array([0.0, 0.5641895835477563e-6, 0.8213210241473353e-6]) * scale
     pts = pts + jitter
@@ -184,49 +191,63 @@ def point_triangle_distances(points: np.ndarray, a, b, c) -> np.ndarray:
     return np.linalg.norm(q - p, axis=1)
 
 
+def _min_pair_distances(out, points, a, b, c, query, tri) -> None:
+    """Lower out[query] to the exact distances of the (query, tri) pairs."""
+    for lo in range(0, len(query), _PAIR_BLOCK):
+        q = query[lo : lo + _PAIR_BLOCK]
+        t = tri[lo : lo + _PAIR_BLOCK]
+        np.minimum.at(out, q, point_triangle_distances(points[q], a[t], b[t], c[t]))
+
+
 def points_to_surface_distance(points, vertices, triangles) -> np.ndarray:
     """Exact minimum distance from each point to a triangle surface.
 
-    KD-trees on triangle centroids prune candidates.  An upper bound ``ub``
-    from the nearest few triangles makes the pruning exact: the closest
-    triangle's centroid lies within ``ub`` plus its centroid-to-corner
-    radius.  Triangles are bucketed by that radius and each bucket is
-    searched with its own largest radius, so a few long triangles do not
-    widen the search for the rest.
+    Each query starts at its exact distance ``ub`` to the one triangle whose
+    centroid is nearest, an upper bound on the answer.  The closest triangle
+    t then has its centroid within ``ub + r_t`` of the query, r_t being its
+    centroid-to-corner radius.  The triangles are split into classes whose
+    radii share a power of 2, and the queries, sorted by ``ub``, into
+    blocks.  Each (block, class) pair is searched at the block's largest
+    ``ub`` plus the class's largest radius, and each pair found is kept only
+    within its own ``ub + r_t`` (with 1e-12 of slack for rounding) and then
+    measured.  The closest triangle is always kept, and every pair's
+    distance is the same row-wise `point_triangle_distances` value, so the
+    result equals the minimum over all triangles bit for bit.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     verts = np.asarray(vertices, dtype=np.float64)
     tris = np.asarray(triangles)
     if len(tris) == 0:
         raise ValueError("empty surface")
+    _check_finite(pts, verts)
     a, b, c = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
     centers = (a + b + c) / 3.0
     radii = np.maximum.reduce([np.linalg.norm(v - centers, axis=1) for v in (a, b, c)])
-    tree = cKDTree(centers)
-    by_radius = np.argsort(radii, kind="stable")
-    buckets = [
-        (cKDTree(centers[ids]), ids, float(radii[ids[-1]]))
-        for ids in np.array_split(by_radius, min(_RADIUS_BUCKETS, len(tris)))
-    ]
     out = np.full(len(pts), np.inf)
-    k = min(8, len(tris))
+    _, nearest = cKDTree(centers).query(pts)
+    _min_pair_distances(out, pts, a, b, c, np.arange(len(pts)), nearest)
+    ub = out.copy()
+
+    exponent = np.frexp(radii)[1]  # radius in [2**(e - 1), 2**e), or 0
+    by_class = np.argsort(exponent, kind="stable")
+    classes = [
+        (cKDTree(centers[ids]), ids, radii[ids].max())
+        for ids in np.split(by_class, np.flatnonzero(np.diff(exponent[by_class])) + 1)
+    ]
+    by_ub = np.argsort(ub, kind="stable")
     for lo in range(0, len(pts), _QUERY_BLOCK):
-        chunk = pts[lo : lo + _QUERY_BLOCK]
-        best = out[lo : lo + _QUERY_BLOCK]
-        _, nearest = tree.query(chunk, k=k)
-        nearest = nearest.reshape(-1)
-        ub = point_triangle_distances(
-            np.repeat(chunk, k, axis=0), a[nearest], b[nearest], c[nearest]
-        ).reshape(len(chunk), k).min(axis=1)
+        block = by_ub[lo : lo + _QUERY_BLOCK]
+        block_tree = cKDTree(pts[block])
+        block_ub = ub[block]
         query, tri = [], []
-        for bucket_tree, ids, radius in buckets:
-            q, t = _ball_pairs(bucket_tree, chunk, ub + radius + 1e-12)
-            query.append(q)
-            tri.append(ids[t])
-        query = np.concatenate(query)
-        tri = np.concatenate(tri)
-        for plo in range(0, len(query), _PAIR_BLOCK):
-            q = query[plo : plo + _PAIR_BLOCK]
-            t = tri[plo : plo + _PAIR_BLOCK]
-            np.minimum.at(best, q, point_triangle_distances(chunk[q], a[t], b[t], c[t]))
+        for class_tree, ids, radius in classes:
+            # block_ub is sorted, so its last entry is the block's largest
+            pairs = block_tree.sparse_distance_matrix(
+                class_tree, block_ub[-1] + radius + 1e-12, output_type="ndarray"
+            )
+            i, j = pairs["i"], pairs["j"]
+            keep = pairs["v"] <= block_ub[i] + radii[ids[j]] + 1e-12
+            query.append(block[i[keep]])
+            tri.append(ids[j[keep]])
+        _min_pair_distances(out, pts, a, b, c, np.concatenate(query), np.concatenate(tri))
     return out

@@ -2,6 +2,7 @@ import contextlib
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -135,6 +136,72 @@ def test_points_to_surface_distance_matches_bruteforce_on_random_soups(seed):
         _check_distances(rng.uniform(-4, 4, size=(int(rng.integers(1, 40)), 3)), verts, tris)
 
 
+def _bruteforce_distances(pts, v, t):
+    """point_triangle_distances over every (point, triangle) pair, min-reduced."""
+    q = np.repeat(np.arange(len(pts)), len(t))
+    k = np.tile(t, (len(pts), 1))
+    d = geometry.point_triangle_distances(pts[q], v[k[:, 0]], v[k[:, 1]], v[k[:, 2]])
+    return d.reshape(len(pts), len(t)).min(axis=1)
+
+
+def _mixed_soup(rng):
+    """Triangles of radius 1e-3 to 10: generic ones, slivers 1e-3 of their
+    length wide, exactly zero-area ones (collinear, repeated or single
+    corner) and ones that share a corner with an earlier triangle."""
+    verts, tris = [], []
+    for _ in range(int(rng.integers(1, 40))):
+        size = 10.0 ** rng.uniform(-3.0, 1.0)
+        base = rng.uniform(-5.0, 5.0, 3)
+        kind = int(rng.integers(6))
+        n = len(verts)
+        if kind == 0:
+            verts += list(base + size * rng.standard_normal((3, 3)))
+            tris.append([n, n + 1, n + 2])
+        elif kind == 1:
+            half = rng.standard_normal(3)
+            half *= size / np.linalg.norm(half)
+            verts += [base - half, base + half, base + 1e-3 * size * rng.standard_normal(3)]
+            tris.append([n, n + 1, n + 2])
+        elif kind == 2:
+            # corners on one x line: the cross product is exactly zero
+            verts += list(base + size * np.array([[0, 0, 0], [1, 0, 0], [rng.uniform(-1, 2), 0, 0]]))
+            tris.append([n, n + 1, n + 2])
+        elif kind == 3:
+            verts += [base, base + size * rng.standard_normal(3)]
+            tris.append([n, n + 1, n])
+        elif kind == 4:
+            verts.append(base)
+            tris.append([n, n, n])
+        else:
+            if not n:
+                verts.append(base)
+                n = 1
+            shared = int(rng.integers(n))
+            verts += list(verts[shared] + size * rng.standard_normal((2, 3)))
+            tris.append([shared, n, n + 1])
+    return np.array(verts), np.array(tris)
+
+
+def _hard_queries(rng, v, t):
+    """Random points, every vertex and centroid exactly, and far points."""
+    centroids = (v[t[:, 0]] + v[t[:, 1]] + v[t[:, 2]]) / 3.0
+    far = rng.standard_normal((int(rng.integers(1, 10)), 3))
+    far *= rng.uniform(50.0, 200.0, size=(len(far), 1)) / np.linalg.norm(far, axis=1, keepdims=True)
+    near = rng.uniform(-8.0, 8.0, size=(int(rng.integers(1, 60)), 3))
+    return rng.permutation(np.concatenate([near, v, centroids, far]))
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_points_to_surface_distance_is_bitwise_bruteforce_min(seed, small):
+    rng = np.random.default_rng(seed)
+    v, t = _mixed_soup(rng)
+    pts = _hard_queries(rng, v, t)
+    with _small_blocks() if small else contextlib.nullcontext():
+        got = geometry.points_to_surface_distance(pts, v, t)
+    np.testing.assert_array_equal(got.view(np.int64), _bruteforce_distances(pts, v, t).view(np.int64))
+
+
 def _check_inside(pts, v, t):
     ref = _oracles.ray_crossings(pts, v, t)
     with _small_blocks():
@@ -168,3 +235,37 @@ def test_normals_point_outward_for_ccw_sphere():
     centers = v[t].mean(axis=1)
     assert np.all(np.einsum("ij,ij->i", n, centers) > 0)
     assert geometry.enclosed_volume(v, t) > 0
+
+
+def test_points_to_surface_distance_keeps_a_pair_exactly_on_its_bound():
+    # The query is corner c of triangle 0, whose centroid is nearest; rounding
+    # measures it at 3.5e-18 from that triangle.  It is also corner a of
+    # triangle 1, at exactly 0, and that triangle's farthest corner, so
+    # |q - c_1| equals ub + r_1 to the last bit.
+    v = np.array([
+        [-0.054696487685410085, -2.08761736684018, -3.7752873188478304],
+        [-0.05453594183598033, -2.1613479924274865, -3.7807014171858966],
+        [-0.021369758032997472, -2.114631107347519, -3.7448640442799572],
+        [-0.04060775670979437, -2.23214177419954, -3.7452696516473822],
+        [-0.0033311055643761994, -2.1996316360424992, -3.757204490177213],
+    ])
+    t = np.array([[0, 1, 2], [2, 3, 4]])
+    got = geometry.points_to_surface_distance(v[2:3], v, t)
+    assert got[0] == 0.0
+    np.testing.assert_array_equal(got.view(np.int64), _bruteforce_distances(v[2:3], v, t).view(np.int64))
+
+
+def test_surface_queries_reject_non_finite_points_and_vertices():
+    v, t = _icosphere(1)
+    pts = np.zeros((3, 3))
+    for query in (geometry.points_inside_surface, geometry.points_to_surface_distance):
+        for bad in (np.nan, np.inf, -np.inf):
+            for axis in range(3):
+                p = pts.copy()
+                p[1, axis] = bad
+                with pytest.raises(ValueError, match="points must be finite"):
+                    query(p, v, t)
+                w = v.copy()
+                w[5, axis] = bad
+                with pytest.raises(ValueError, match="vertices must be finite"):
+                    query(pts, w, t)
