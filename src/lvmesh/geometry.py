@@ -3,8 +3,6 @@ and exact point-to-surface distances."""
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -21,11 +19,11 @@ __all__ = [
     "points_to_surface_distance",
 ]
 
-# The exact surface queries below test flattened (query, triangle) pairs in
-# blocks, which bounds their temporary arrays to a few MiB: the ray test
-# makes one ball search per _QUERY_BLOCK triangles, the distance query one
-# KD-tree pair search per _QUERY_BLOCK queries and triangle radius class,
-# and both measure at most _PAIR_BLOCK pairs per vectorized test.
+# Both exact surface queries below take their (query, triangle) pairs from
+# one search, _candidate_pairs: one KD-tree pair search per _QUERY_BLOCK
+# queries and triangle radius class, which bounds its temporary arrays to a
+# few MiB.  Each query then tests at most _PAIR_BLOCK pairs per vectorized
+# step.
 _QUERY_BLOCK = 1024
 _PAIR_BLOCK = 8192
 
@@ -49,13 +47,15 @@ def enclosed_volume(vertices, triangles) -> float:
     return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
 
 
-def edge_use_counts(triangles: np.ndarray):
-    """Map from undirected edge (i, j), i < j, to the number of using triangles."""
-    tri = np.asarray(triangles)
-    e = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-    e = np.sort(e, axis=1)
-    keys, counts = np.unique(e, axis=0, return_counts=True)
-    return keys, counts
+def edge_use_counts(cells: np.ndarray):
+    """Undirected edges (i, j), i < j, of triangles or tets in lexicographic
+    order, and the number of cells using each."""
+    cells = np.asarray(cells, dtype=np.int64)
+    first, second = np.triu_indices(cells.shape[1], 1)
+    e = np.sort(np.stack([cells[:, first].ravel(), cells[:, second].ravel()], axis=1), axis=1)
+    n = int(cells.max()) + 1 if cells.size else 1
+    keys, counts = np.unique(e[:, 0] * n + e[:, 1], return_counts=True)
+    return np.stack([keys // n, keys % n], axis=1), counts
 
 
 def is_watertight(triangles) -> bool:
@@ -76,24 +76,54 @@ def _check_finite(points: np.ndarray, vertices: np.ndarray) -> None:
         raise ValueError("surface vertices must be finite")
 
 
-def _ball_pairs(tree: cKDTree, queries: np.ndarray, radii: np.ndarray):
-    """Flattened (query, tree point) index pairs of per-query ball searches."""
-    hits = tree.query_ball_point(queries, radii, return_sorted=False)
-    counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
-    query = np.repeat(np.arange(len(hits)), counts)
-    found = np.fromiter(
-        itertools.chain.from_iterable(hits), dtype=np.intp, count=int(counts.sum())
-    )
-    return query, found
+def _candidate_pairs(queries, order, bounds, centers, radii):
+    """Yield, in chunks of at most ``_PAIR_BLOCK``, the (query, triangle)
+    index pairs with ``|q - c_t| <= bounds[q] + r_t``, c_t being triangle
+    t's center and r_t its radius, with 1e-12 of slack for rounding.
+
+    The triangles are split into classes whose radii share a power of 2,
+    and the queries, taken in ``order``, into blocks of ``_QUERY_BLOCK``;
+    ``order`` should keep each block compact.  Each (block, class) pair is
+    searched at the block's largest bound plus the class's largest radius,
+    and each pair found is then kept only within its own bound.
+    """
+    if len(radii) == 0:
+        return
+    exponent = np.frexp(radii)[1]  # radius in [2**(e - 1), 2**e), or 0
+    by_class = np.argsort(exponent, kind="stable")
+    classes = [
+        (cKDTree(centers[ids]), ids, radii[ids].max())
+        for ids in np.split(by_class, np.flatnonzero(np.diff(exponent[by_class])) + 1)
+    ]
+    for lo in range(0, len(order), _QUERY_BLOCK):
+        block = order[lo : lo + _QUERY_BLOCK]
+        block_tree = cKDTree(queries[block])
+        block_bound = bounds[block]
+        reach = block_bound.max()
+        query, tri = [], []
+        for class_tree, ids, radius in classes:
+            pairs = block_tree.sparse_distance_matrix(
+                class_tree, reach + radius + 1e-12, output_type="ndarray"
+            )
+            i, j = pairs["i"], pairs["j"]
+            keep = pairs["v"] <= block_bound[i] + radii[ids[j]] + 1e-12
+            query.append(block[i[keep]])
+            tri.append(ids[j[keep]])
+        query, tri = np.concatenate(query), np.concatenate(tri)
+        for plo in range(0, len(query), _PAIR_BLOCK):
+            yield query[plo : plo + _PAIR_BLOCK], tri[plo : plo + _PAIR_BLOCK]
 
 
 def _ray_crossings(points: np.ndarray, vertices: np.ndarray, triangles: np.ndarray):
     """Count +x ray/surface crossings per query point (watertight input assumed).
 
     Query (y, z) coordinates are jittered by a tiny fixed offset so rays do
-    not pass exactly through triangle edges or vertices.  Each block of
-    triangles finds the points in its (y, z) bounding disks with one ball
-    search; the (triangle, point) pairs are then tested together.
+    not pass exactly through triangle edges or vertices.  The queries that
+    share (y, z) lie on one line along x, which can cross only the
+    triangles whose (y, z) bounding disks hold it: ``_candidate_pairs``
+    finds those (line, triangle) pairs in the (y, z) plane at bound 0, with
+    the lines in (z, y) order.  Each pair is tested once, and each query
+    counts the crossings of its line at larger x.
     """
     pts = np.asarray(points, dtype=np.float64)
     verts = np.asarray(vertices, dtype=np.float64)
@@ -102,39 +132,51 @@ def _ray_crossings(points: np.ndarray, vertices: np.ndarray, triangles: np.ndarr
     jitter = np.array([0.0, 0.5641895835477563e-6, 0.8213210241473353e-6]) * scale
     pts = pts + jitter
 
-    crossings = np.zeros(len(pts), dtype=np.int64)
-    if len(triangles) == 0:
-        return crossings
-    tree = cKDTree(pts[:, 1:3])
-    a, b, c = verts[triangles[:, 0]], verts[triangles[:, 1]], verts[triangles[:, 2]]
-    centers = (a + b + c)[:, 1:3] / 3.0
-    radii = np.maximum.reduce(
-        [np.linalg.norm(v[:, 1:3] - centers, axis=1) for v in (a, b, c)]
-    )
+    tris = np.asarray(triangles, dtype=np.intp).reshape(-1, 3)
+    a, b, c = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
     # 2D barycentric frame of each triangle in the (y, z) projection
     v0 = (b - a)[:, 1:3]
     v1 = (c - a)[:, 1:3]
     den = v0[:, 0] * v1[:, 1] - v0[:, 1] * v1[:, 0]
-    # x edge components for the intersection with the triangle plane
-    e0x = b[:, 0] - a[:, 0]
-    e1x = c[:, 0] - a[:, 0]
     usable = np.flatnonzero(~(np.abs(den) < 1e-300))
-    for lo in range(0, len(usable), _QUERY_BLOCK):
-        tri_block = usable[lo : lo + _QUERY_BLOCK]
-        tri, idx = _ball_pairs(tree, centers[tri_block], radii[tri_block] + 1e-12)
-        tri = tri_block[tri]
-        for plo in range(0, len(tri), _PAIR_BLOCK):
-            k = tri[plo : plo + _PAIR_BLOCK]
-            i = idx[plo : plo + _PAIR_BLOCK]
-            w0 = pts[i, 1] - a[k, 1]
-            w1 = pts[i, 2] - a[k, 2]
-            s = (w0 * v1[k, 1] - w1 * v1[k, 0]) / den[k]
-            t = (v0[k, 0] * w1 - v0[k, 1] * w0) / den[k]
-            hit = (s > 0.0) & (t > 0.0) & (s + t < 1.0)
-            k, i = k[hit], i[hit]
-            x_int = a[k, 0] + s[hit] * e0x[k] + t[hit] * e1x[k]
-            np.add.at(crossings, i, (x_int > pts[i, 0]).astype(np.int64))
-    return crossings
+    a, b, c, v0, v1, den = (x[usable] for x in (a, b, c, v0, v1, den))
+    centers = (a + b + c)[:, 1:3] / 3.0
+    radii = np.maximum.reduce(
+        [np.linalg.norm(v[:, 1:3] - centers, axis=1) for v in (a, b, c)]
+    )
+    # contiguous columns for the pair tests; e0x and e1x are the x edge
+    # components for the intersection with the triangle plane
+    (ax, ay, az), (v0y, v0z), (v1y, v1z) = a.T.copy(), v0.T.copy(), v1.T.copy()
+    e0x = b[:, 0] - ax
+    e1x = c[:, 0] - ax
+
+    # one line per distinct (y, z), numbered in (z, y) order
+    y_rank = np.unique(pts[:, 1], return_inverse=True)[1]
+    z_rank = np.unique(pts[:, 2], return_inverse=True)[1]
+    line_keys, line_of = np.unique(z_rank * len(pts) + y_rank, return_inverse=True)
+    lines = np.empty((len(line_keys), 2))
+    lines[line_of] = pts[:, 1:3]
+    ly, lz = lines.T.copy()
+    hit_line, hit_x = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for i, k in _candidate_pairs(lines, np.arange(len(lines)), np.zeros(len(lines)),
+                                 centers, radii):
+        w0 = ly[i] - ay[k]
+        w1 = lz[i] - az[k]
+        s = (w0 * v1z[k] - w1 * v1y[k]) / den[k]
+        t = (v0y[k] * w1 - v0z[k] * w0) / den[k]
+        hit = (s > 0.0) & (t > 0.0) & (s + t < 1.0)
+        k = k[hit]
+        hit_line.append(i[hit])
+        hit_x.append(ax[k] + s[hit] * e0x[k] + t[hit] * e1x[k])
+
+    # Ranked among all query and crossing x, x < x' exactly when its rank
+    # is lower, so (line, x) packs into one integer key; a query's count is
+    # the number of crossing keys above its own and below the next line's.
+    values, x_rank = np.unique(np.concatenate([pts[:, 0], *hit_x]), return_inverse=True)
+    hit_keys = np.sort(np.concatenate(hit_line) * len(values) + x_rank[len(pts) :])
+    keys = line_of * len(values) + x_rank[: len(pts)]
+    return (np.searchsorted(hit_keys, (line_of + 1) * len(values))
+            - np.searchsorted(hit_keys, keys, side="right"))
 
 
 def points_inside_surface(points, vertices, triangles) -> np.ndarray:
@@ -205,14 +247,11 @@ def points_to_surface_distance(points, vertices, triangles) -> np.ndarray:
     Each query starts at its exact distance ``ub`` to the one triangle whose
     centroid is nearest, an upper bound on the answer.  The closest triangle
     t then has its centroid within ``ub + r_t`` of the query, r_t being its
-    centroid-to-corner radius.  The triangles are split into classes whose
-    radii share a power of 2, and the queries, sorted by ``ub``, into
-    blocks.  Each (block, class) pair is searched at the block's largest
-    ``ub`` plus the class's largest radius, and each pair found is kept only
-    within its own ``ub + r_t`` (with 1e-12 of slack for rounding) and then
-    measured.  The closest triangle is always kept, and every pair's
-    distance is the same row-wise `point_triangle_distances` value, so the
-    result equals the minimum over all triangles bit for bit.
+    centroid-to-corner radius, so ``_candidate_pairs`` at bounds ``ub``, with
+    the queries sorted by ``ub``, finds it; every pair found is measured.
+    The closest triangle is always kept, and every pair's distance is the
+    same row-wise `point_triangle_distances` value, so the result equals
+    the minimum over all triangles bit for bit.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     verts = np.asarray(vertices, dtype=np.float64)
@@ -227,27 +266,7 @@ def points_to_surface_distance(points, vertices, triangles) -> np.ndarray:
     _, nearest = cKDTree(centers).query(pts)
     _min_pair_distances(out, pts, a, b, c, np.arange(len(pts)), nearest)
     ub = out.copy()
-
-    exponent = np.frexp(radii)[1]  # radius in [2**(e - 1), 2**e), or 0
-    by_class = np.argsort(exponent, kind="stable")
-    classes = [
-        (cKDTree(centers[ids]), ids, radii[ids].max())
-        for ids in np.split(by_class, np.flatnonzero(np.diff(exponent[by_class])) + 1)
-    ]
-    by_ub = np.argsort(ub, kind="stable")
-    for lo in range(0, len(pts), _QUERY_BLOCK):
-        block = by_ub[lo : lo + _QUERY_BLOCK]
-        block_tree = cKDTree(pts[block])
-        block_ub = ub[block]
-        query, tri = [], []
-        for class_tree, ids, radius in classes:
-            # block_ub is sorted, so its last entry is the block's largest
-            pairs = block_tree.sparse_distance_matrix(
-                class_tree, block_ub[-1] + radius + 1e-12, output_type="ndarray"
-            )
-            i, j = pairs["i"], pairs["j"]
-            keep = pairs["v"] <= block_ub[i] + radii[ids[j]] + 1e-12
-            query.append(block[i[keep]])
-            tri.append(ids[j[keep]])
-        _min_pair_distances(out, pts, a, b, c, np.concatenate(query), np.concatenate(tri))
+    order = np.argsort(ub, kind="stable")
+    for query, tri in _candidate_pairs(pts, order, ub, centers, radii):
+        _min_pair_distances(out, pts, a, b, c, query, tri)
     return out

@@ -328,10 +328,7 @@ def _edge_queue(mesh, Qa):
     (u, v, ver_u, ver_v, position) entries, since costs often tie (0.0 on
     flat patches).  Pops follow the (cost, u, v, versions) keys, which are
     unique, as one heap of (cost, entry) tuples would."""
-    n = mesh.n_vertices
-    edges = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    key = np.unique(edges[:, 0] * n + edges[:, 1])
-    eu, ev = key // n, key % n
+    eu, ev = geometry.edge_use_counts(mesh.triangles)[0].T
     cost, pos = _collapse_many(Qa[eu] + Qa[ev], mesh.vertices[eu], mesh.vertices[ev])
     # entries sorted by (cost, u, v) are already heaps, as are the sorted costs
     order = np.argsort(cost, kind="stable")

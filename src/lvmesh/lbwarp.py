@@ -22,6 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
+from . import geometry
 from .isosurface import SurfaceMesh
 from .tetmesh import TetMesh, assess
 
@@ -74,14 +75,6 @@ class WarpInfo:
     residual: float
 
 
-def _mesh_edges(tets: np.ndarray, n: int) -> np.ndarray:
-    """Unique (a, b) edges, a < b, in lexicographic order; ``n`` bounds the ids."""
-    e = np.sort(np.concatenate([tets[:, [i, j]] for i in range(4) for j in range(i + 1, 4)]),
-                axis=1)
-    keys = np.unique(e[:, 0] * n + e[:, 1])
-    return np.stack([keys // n, keys % n], axis=1)
-
-
 def compute_weights(mesh_ed: TetMesh) -> InteriorWeights:
     """w_ij = (1/d_ij) / sum_k (1/d_ik) over edge-adjacent neighbors j."""
     n = len(mesh_ed.vertices)
@@ -90,7 +83,7 @@ def compute_weights(mesh_ed: TetMesh) -> InteriorWeights:
     is_fixed[fixed] = True
     interior = np.nonzero(~is_fixed)[0]
 
-    edges = _mesh_edges(mesh_ed.tets, n)
+    edges, _ = geometry.edge_use_counts(mesh_ed.tets)
     d = np.linalg.norm(
         mesh_ed.vertices[edges[:, 0]] - mesh_ed.vertices[edges[:, 1]], axis=1
     )

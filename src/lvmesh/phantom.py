@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import FrameSequence, ImageVolume, LabelVolume
+from .volume import FrameSequence, ImageVolume, LabelVolume, _grid_centers
 
 __all__ = ["PhantomSpec", "PhantomError", "generate", "inject_misalignment",
            "translate_inplane", "myocardium_mask", "scale_factors", "analytic_field",
@@ -86,25 +86,15 @@ def scale_factors(spec: PhantomSpec, t: int) -> tuple[float, float]:
     return 1.0 - spec.contraction * g, 1.0 - spec.shortening * g
 
 
-def _grid_coords(spec: PhantomSpec) -> np.ndarray:
-    nx, ny, nz = spec.dims
-    sx, sy, sz = spec.spacing
-    zz, yy, xx = np.meshgrid(
-        sz * np.arange(nz), sy * np.arange(ny), sx * np.arange(nx), indexing="ij"
-    )
-    return np.stack([xx, yy, zz], axis=-1)
-
-
 def myocardium_mask(spec: PhantomSpec, t: int) -> np.ndarray:
     """Analytic frame-t myocardium indicator, the oracle for generated labels."""
-    lbl, _ = _frame_labels(spec, t)
-    return lbl == LABEL_MYOCARDIUM
+    return _frame_labels(spec, t) == LABEL_MYOCARDIUM
 
 
 def _frame_labels(spec: PhantomSpec, t: int):
     s, sl = scale_factors(spec, t)
     c = spec.center
-    p = _grid_coords(spec)
+    p = _grid_centers(spec.dims, spec.spacing, (0.0, 0.0, 0.0))
     # pull voxel centers back to ED space through the inverse scaling
     rel = p - c
     xe = rel[..., 0] / s
@@ -118,14 +108,14 @@ def _frame_labels(spec: PhantomSpec, t: int):
     labels = np.zeros(p.shape[:-1], dtype=np.int32)
     labels[in_epi & ~in_endo & below_base] = LABEL_MYOCARDIUM
     labels[in_endo & below_base] = LABEL_LV_POOL
-    return labels, p
+    return labels
 
 
 def analytic_field(spec: PhantomSpec, t: int) -> np.ndarray:
     """Ground-truth ED -> frame-t displacement (mm), shape (nz, ny, nx, 3)."""
     s, sl = scale_factors(spec, t)
     c = spec.center
-    p = _grid_coords(spec)
+    p = _grid_centers(spec.dims, spec.spacing, (0.0, 0.0, 0.0))
     u = np.empty_like(p)
     u[..., 0] = (s - 1.0) * (p[..., 0] - c[0])
     u[..., 1] = (s - 1.0) * (p[..., 1] - c[1])
@@ -143,7 +133,7 @@ def generate(spec: PhantomSpec):
         )
     frames, labels, fields = [], [], []
     for t in range(spec.n_frames):
-        lbl, _ = _frame_labels(spec, t)
+        lbl = _frame_labels(spec, t)
         img = np.full(lbl.shape, INTENSITY_BACKGROUND, dtype=np.float64)
         img[lbl == LABEL_MYOCARDIUM] = INTENSITY_MYOCARDIUM
         img[(lbl == LABEL_LV_POOL) | (lbl == LABEL_RV_POOL)] = INTENSITY_POOL
@@ -171,16 +161,14 @@ def _translate_slice(arr2d: np.ndarray, dx: int, dy: int, fill):
 
 def translate_inplane(vol, shifts_vox):
     """Translate every z-slice by integer voxel shifts (nz, 2) [dx, dy]."""
-    is_label = isinstance(vol, LabelVolume)
-    fill = 0 if is_label else vol.data.flat[0]
+    fill = 0 if isinstance(vol, LabelVolume) else vol.data.flat[0]
     data = np.stack(
         [
             _translate_slice(vol.data[k], int(shifts_vox[k][0]), int(shifts_vox[k][1]), fill)
             for k in range(vol.data.shape[0])
         ]
     )
-    cls = LabelVolume if is_label else ImageVolume
-    return cls(data, vol.spacing, vol.origin)
+    return type(vol)(data, vol.spacing, vol.origin)
 
 
 def inject_misalignment(frames: FrameSequence, labels, amplitude_mm: float, seed: int):

@@ -366,17 +366,15 @@ def _first_node(ffd: FfdTransform, j: np.ndarray):
 _PAIRS = ((0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (0, 1, 2.0), (0, 2, 2.0), (1, 2, 2.0))
 
 
-def _work_array(scratch: dict | None, name: str, shape, dtype=np.float64) -> np.ndarray:
-    """``scratch[name]``, made on first use, or a fresh array without ``scratch``."""
-    if scratch is None:
-        return np.empty(shape, dtype)
+def _work_array(scratch: dict, name: str, shape, dtype=np.float64) -> np.ndarray:
+    """``scratch[name]``, made on first use."""
     if name not in scratch:
         scratch[name] = np.empty(shape, dtype)
     return scratch[name]
 
 
-def _ffd_objective(ffd: FfdTransform, pts: np.ndarray, bending_weight: float,
-                   images=None, energy: bool = False, scratch: dict | None = None):
+def _ffd_objective(ffd: FfdTransform, pts: np.ndarray, bending_weight: float, scratch: dict,
+                   images=None, energy: bool = False):
     """The FFD loss at sample points and its gradient w.r.t. ``ffd.coeffs``:
     (sim, bending, grad), grad being that of ``sim + bending_weight * bending``.
 
@@ -462,7 +460,7 @@ def bending_energy(ffd: FfdTransform, pts: np.ndarray):
     they differ from a loop over the 64 support nodes by rounding only.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    _, energy, grad = _ffd_objective(ffd, pts, 1.0, energy=True)
+    _, energy, grad = _ffd_objective(ffd, pts, 1.0, {}, energy=True)
     return energy, grad
 
 
@@ -486,8 +484,8 @@ def register_ffd(fixed: ImageVolume, moving: ImageVolume, config: RegistrationCo
 
     for it in range(config.ffd_iterations):
         pts = rng.uniform(lo, hi, size=(config.ffd_samples, 3))
-        sim, bending, g = _ffd_objective(ffd, pts, weight, (nfixed, nmoving),
-                                         history is not None, scratch)
+        sim, bending, g = _ffd_objective(ffd, pts, weight, scratch, (nfixed, nmoving),
+                                         history is not None)
         if not np.isfinite(sim):
             raise RegistrationError(f"ffd optimization diverged at iteration {it}")
         if history is not None:

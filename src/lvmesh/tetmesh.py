@@ -61,12 +61,7 @@ class TetMesh:
         self.boundary_map = np.asarray(self.boundary_map, dtype=np.int64)
 
     def volumes(self) -> np.ndarray:
-        v = self.vertices
-        t = self.tets
-        a = v[t[:, 1]] - v[t[:, 0]]
-        b = v[t[:, 2]] - v[t[:, 0]]
-        c = v[t[:, 3]] - v[t[:, 0]]
-        return np.einsum("ij,ij->i", a, np.cross(b, c)) / 6.0
+        return _signed_volumes(self.vertices, self.tets)
 
     def boundary_faces(self) -> np.ndarray:
         """Faces used by exactly one tet, oriented as stored."""
@@ -77,6 +72,13 @@ class TetMesh:
         key = np.sort(faces, axis=1)
         _, inv, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
         return faces[counts[inv] == 1]
+
+
+def _signed_volumes(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    a = v[t[:, 1]] - v[t[:, 0]]
+    b = v[t[:, 2]] - v[t[:, 0]]
+    c = v[t[:, 3]] - v[t[:, 0]]
+    return np.einsum("ij,ij->i", a, np.cross(b, c)) / 6.0
 
 
 @dataclass
@@ -222,11 +224,7 @@ def tetrahedralize(surface: SurfaceMesh, max_volume_mm3: float) -> TetMesh:
     tets = dela.simplices.astype(np.int64)
 
     # enforce positive orientation, drop exact degenerates
-    p = points[tets]
-    a = p[:, 1] - p[:, 0]
-    b = p[:, 2] - p[:, 0]
-    c = p[:, 3] - p[:, 0]
-    vol = np.einsum("ij,ij->i", a, np.cross(b, c)) / 6.0
+    vol = _signed_volumes(points, tets)
     neg = vol < 0
     tets[neg] = tets[neg][:, [0, 1, 3, 2]]
     vol = np.abs(vol)

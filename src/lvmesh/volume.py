@@ -79,16 +79,22 @@ class ImageVolume:
 
     def voxel_centers(self) -> np.ndarray:
         """Physical coordinates of all voxel centers, shape (nz, ny, nx, 3)."""
-        nz, ny, nx = self.data.shape[:3]
-        sx, sy, sz = self.spacing
-        ox, oy, oz = self.origin
-        zz, yy, xx = np.meshgrid(
-            oz + sz * np.arange(nz),
-            oy + sy * np.arange(ny),
-            ox + sx * np.arange(nx),
-            indexing="ij",
-        )
-        return np.stack([xx, yy, zz], axis=-1)
+        return _grid_centers(self.dims, self.spacing, self.origin)
+
+
+def _grid_centers(dims, spacing, origin) -> np.ndarray:
+    """Physical coordinates of the voxel centers of an (nx, ny, nz) grid,
+    shape (nz, ny, nx, 3)."""
+    nx, ny, nz = dims
+    sx, sy, sz = spacing
+    ox, oy, oz = origin
+    zz, yy, xx = np.meshgrid(
+        oz + sz * np.arange(nz),
+        oy + sy * np.arange(ny),
+        ox + sx * np.arange(nx),
+        indexing="ij",
+    )
+    return np.stack([xx, yy, zz], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -356,8 +362,7 @@ def resample_z(vol: ImageVolume, new_sz_mm: float):
     if new_nz < 2:
         raise VolumeError(f"resampling to {new_sz_mm} mm leaves only {new_nz} slices")
     z_new = np.arange(new_nz) * new_sz_mm / sz  # in original slice index units
-    is_labels = isinstance(vol, LabelVolume)
-    if is_labels:
+    if isinstance(vol, LabelVolume):
         idx = np.clip(np.round(z_new).astype(np.intp), 0, nz - 1)
         data = vol.data[idx]
     else:
@@ -367,5 +372,4 @@ def resample_z(vol: ImageVolume, new_sz_mm: float):
         data = (1.0 - f) * vol.data[k0] + f * vol.data[np.minimum(k0 + 1, nz - 1)]
         data = data.astype(np.float32)
     new_spacing = (sx, sy, float(new_sz_mm))
-    cls = LabelVolume if is_labels else ImageVolume
-    return cls(data, new_spacing, vol.origin)
+    return type(vol)(data, new_spacing, vol.origin)

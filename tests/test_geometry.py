@@ -1,4 +1,6 @@
+import collections
 import contextlib
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -62,6 +64,21 @@ def test_watertight_and_euler():
     assert geometry.is_watertight(t)
     assert geometry.euler_characteristic(v, t) == 2
     assert not geometry.is_watertight(t[:-1])
+
+
+@pytest.mark.parametrize("corners", [3, 4])
+def test_edge_use_counts_matches_counter_of_sorted_corner_pairs(corners):
+    # sparse ids up to 10**9, and cells with repeated corners (a (i, i) edge)
+    rng = np.random.default_rng(corners)
+    ids = rng.choice(10**9, size=40, replace=False)
+    for cells in (ids[rng.integers(0, 40, size=(300, corners))],
+                  np.empty((0, corners), dtype=np.int64)):
+        keys, counts = geometry.edge_use_counts(cells)
+        ref = collections.Counter(tuple(sorted(pair)) for cell in cells.tolist()
+                                  for pair in itertools.combinations(cell, 2))
+        assert keys.shape == (len(ref), 2)
+        assert list(map(tuple, keys.tolist())) == sorted(ref)
+        assert counts.tolist() == [ref[key] for key in sorted(ref)]
 
 
 def test_inside_outside_sphere():
@@ -227,6 +244,37 @@ def test_points_inside_surface_matches_ray_oracle_on_random_blobs(seed):
     lo, hi = surf.vertices.min(axis=0), surf.vertices.max(axis=0)
     pts = rng.uniform(lo - 0.5, hi + 0.5, size=(200, 3))
     _check_inside(pts, surf.vertices, surf.triangles)
+
+
+def _ray_soup(rng):
+    """``_mixed_soup`` plus triangles whose (y, z) projection is a segment
+    (den == 0 exactly): their corners share one y or one z."""
+    v, t = _mixed_soup(rng)
+    flat = rng.uniform(-5.0, 5.0, size=(int(rng.integers(1, 6)), 3, 3))
+    for tri in flat:
+        axis = int(rng.integers(1, 3))
+        tri[:, axis] = tri[0, axis]
+    ids = len(v) + np.arange(3 * len(flat)).reshape(-1, 3)
+    return np.concatenate([v, flat.reshape(-1, 3)]), np.concatenate([t, ids])
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_points_inside_surface_is_bitwise_ray_oracle_parity(seed, small):
+    rng = np.random.default_rng(seed)
+    v, t = _ray_soup(rng)
+    midpoints = [(v[t[:, i]] + v[t[:, j]]) / 2.0 for i, j in ((0, 1), (1, 2), (2, 0))]
+    pts = np.concatenate([_hard_queries(rng, v, t), *midpoints])
+    # queries on the lines of earlier ones, at other x and at the same x
+    again = pts[rng.integers(len(pts), size=30)]
+    again[:15, 0] = rng.uniform(-10.0, 10.0, size=15)
+    pts = rng.permutation(np.concatenate([pts, again]))
+    ref = _oracles.ray_crossings(pts, v, t)
+    with _small_blocks() if small else contextlib.nullcontext():
+        crossings = geometry._ray_crossings(pts, v, t)
+        got = geometry.points_inside_surface(pts, v, t)
+    np.testing.assert_array_equal(crossings, ref)
+    assert got.dtype == bool and got.tobytes() == (ref % 2 == 1).tobytes()
 
 
 def test_normals_point_outward_for_ccw_sphere():

@@ -210,6 +210,25 @@ def test_decimate_matches_oracle_at_or_above_vertex_count(factor):
     assert np.array_equal(out.triangles, surf.triangles)
 
 
+@pytest.mark.parametrize("ridge, n_left", [(2.5, 5), (3.0, 8), (3.5, 8)])
+def test_decimate_rejects_a_collapse_that_turns_a_triangle_perpendicular(ridge, n_left):
+    # Only edge (0, 1) has two triangles, so it is the only collapse that
+    # passes the link condition.  Every triangle's plane contains the x
+    # direction, so the summed quadric is singular and the collapse falls
+    # back to the midpoint (0, 2, 0), which costs 4 against 8 at either end.
+    # Moving vertex 1 there tilts triangle (1, 4, 5), from the plane
+    # y + z = 4, by less than, exactly or more than 90 degrees as its far
+    # edge lies at y = 2.5, 3 or 3.5; at 3 its old and new normals, (0, -4,
+    # -4) and (0, -4, 4), are exactly perpendicular, and the flip test
+    # rejects that as it rejects a flip.  After the one legal collapse the
+    # wings 2 and 3 are unused and dropped too.
+    v = np.array([[0, 0, 0], [0, 4, 0], [1, 2, 0], [-1, 2, 0],
+                  [2, ridge, 4 - ridge], [-2, ridge, 4 - ridge], [2, 0, 0], [0, -1, -1]], float)
+    t = np.array([[0, 1, 2], [1, 0, 3], [1, 4, 5], [0, 6, 7]])
+    out = _decimate_like_oracle(SurfaceMesh(v, t), 7)
+    assert out.n_vertices == n_left
+
+
 @settings(max_examples=20)
 @given(st.integers(0, 2**32 - 1))
 def test_decimate_keeps_topology_and_matches_oracle_on_random_blobs(seed):

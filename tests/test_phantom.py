@@ -47,6 +47,15 @@ def test_field_matches_scaling_about_center():
     np.testing.assert_allclose(u[z, y, x, 2], (sl - 1) * (p[2] - c[2]), rtol=1e-6)
 
 
+def test_integer_spacing_gives_the_float_spacing_field_and_labels():
+    # a YAML or JSON config may spell the spacing as integers
+    ints = PhantomSpec(dims=(16, 20, 24), spacing=(1, 2, 2))
+    floats = PhantomSpec(dims=(16, 20, 24), spacing=(1.0, 2.0, 2.0))
+    for t in (1, 3):
+        assert analytic_field(ints, t).tobytes() == analytic_field(floats, t).tobytes()
+        assert np.array_equal(phantom.myocardium_mask(ints, t), phantom.myocardium_mask(floats, t))
+
+
 def test_labels_consistent_with_analytic_mapping(small_phantom):
     # a point labeled myocardium at ED, mapped by the frame scaling, must land
     # in the frame-t myocardium (checked at nearest voxel, away from borders)

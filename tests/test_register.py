@@ -594,10 +594,10 @@ def test_ffd_objective_gradient_finite_differences(weight):
 
     def total(coeffs):
         sim, bend, _ = register._ffd_objective(dataclasses.replace(ffd, coeffs=coeffs), pts,
-                                               weight, (fixed, moving), energy=True)
+                                               weight, {}, (fixed, moving), energy=True)
         return sim + weight * bend
 
-    sim, bend, g = register._ffd_objective(ffd, pts, weight, (fixed, moving), energy=True)
+    sim, bend, g = register._ffd_objective(ffd, pts, weight, {}, (fixed, moving), energy=True)
     assert sim > 0 and bend > 0
     h = 1e-6
     touched = np.flatnonzero(g)
