@@ -14,6 +14,7 @@ __all__ = [
     "edge_use_counts",
     "is_watertight",
     "euler_characteristic",
+    "read_only",
     "points_inside_surface",
     "point_triangle_distances",
     "points_to_surface_distance",
@@ -67,6 +68,14 @@ def euler_characteristic(vertices, triangles) -> int:
     keys, _ = edge_use_counts(triangles)
     nv = len(np.unique(np.asarray(triangles).ravel()))
     return nv - len(keys) + len(triangles)
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` that raises on write: frame meshes share their ED
+    mesh's connectivity through these instead of copying it."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def _check_finite(points: np.ndarray, vertices: np.ndarray) -> None:

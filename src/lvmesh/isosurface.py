@@ -171,9 +171,12 @@ def marching_cubes(labels: LabelVolume, target_label: int, iso_policy: str = "bi
 # A quadric is the upper triangle of the symmetric 4x4 matrix Q, held as the
 # 10 terms (q00 q01 q02 q03 q11 q12 q13 q22 q23 q33).  The helpers below
 # unpack it, so they evaluate the same expressions on arrays of terms (the
-# initial edge pass) and on Python floats (the loop's fallback).  The loop's
-# own re-cost writes them out on floats; operands that repeat in them are
-# computed once, which rounds the same.
+# initial edge pass) and on Python floats (the loop's fallback and the
+# position of a popped edge).  The loop's own re-cost writes them out on
+# floats; operands that repeat in them are computed once, which rounds the
+# same.  Queue entries carry no position: a popped edge whose versions
+# still hold has the same quadric and endpoints as when it was pushed, so
+# ``_collapse_position`` recomputes the pushed position bit for bit.
 
 _QUADRIC_TERMS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 
@@ -263,6 +266,17 @@ def _collapse_fallback(q, va, vb):
     return _quadric_cost(q, bx), bx
 
 
+def _collapse_position(q, va, vb):
+    """The position ``_collapse_many`` gives one edge, on Python floats."""
+    det = _normal_det(q)
+    scale = max(abs(q[0]), abs(q[4]), abs(q[7]), 1e-300)
+    if abs(det) > 1e-10 * scale**3:
+        x = _minimizer(q, det)
+        if _within_edge_ball(x, va, vb):
+            return x
+    return _collapse_fallback(q, va, vb)[1]
+
+
 def _collapse_many(q, va, vb):
     """(cost, position) of contracting each edge (va, vb) under the summed
     quadric q, for an (E, 10) quadric stack and (E, 3) endpoint arrays: the
@@ -299,7 +313,7 @@ def decimate(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
     """
     if target_vertex_count < 4:
         raise IsosurfaceError("target vertex count must be at least 4")
-    # The loop makes no reference cycles, but its many tuples and sets would
+    # The loop makes no reference cycles, but its many tuples and lists would
     # set off several full collections of the whole heap.  One collection
     # afterwards is less work, and it also hands back the memory that the
     # interpreter's free lists still hold from the loop's tuples before the
@@ -314,30 +328,31 @@ def decimate(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
             gc.collect()
 
 
-def _vertex_triangles(triangles, n_verts):
-    """Each vertex's set of triangle ids."""
+def _vertex_triangles(triangles, n_verts, ids):
+    """Each vertex's list of triangle ids, taken from ``ids``."""
     corner = triangles.reshape(-1)
-    tri_of = (np.argsort(corner, kind="stable") // 3).tolist()
+    tri_of = list(map(ids.__getitem__, (np.argsort(corner, kind="stable") // 3).tolist()))
     ends = np.cumsum(np.bincount(corner, minlength=n_verts)).tolist()
-    return [set(tri_of[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    return [tri_of[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
-def _edge_queue(mesh, Qa):
+def _edge_queue(mesh, Qa, ids):
     """The collapse queue of every unique edge, costed in one pass: the
     distinct costs as a heap, and a dict from each cost to the heap of its
-    (u, v, ver_u, ver_v, position) entries, since costs often tie (0.0 on
-    flat patches).  Pops follow the (cost, u, v, versions) keys, which are
-    unique, as one heap of (cost, entry) tuples would."""
+    (u, v, ver_u, ver_v) entries, since costs often tie (0.0 on flat
+    patches).  Pops follow these keys, which are unique, as one heap of
+    (cost, entry) tuples would.  Vertex ids are taken from ``ids``."""
     eu, ev = geometry.edge_use_counts(mesh.triangles)[0].T
-    cost, pos = _collapse_many(Qa[eu] + Qa[ev], mesh.vertices[eu], mesh.vertices[ev])
+    cost, _ = _collapse_many(Qa[eu] + Qa[ev], mesh.vertices[eu], mesh.vertices[ev])
     # entries sorted by (cost, u, v) are already heaps, as are the sorted costs
     order = np.argsort(cost, kind="stable")
     cost = cost[order]
     starts = np.ones(len(cost) + 1, dtype=bool)
     starts[1:-1] = cost[1:] != cost[:-1]
     bounds = np.flatnonzero(starts).tolist()
-    entries = list(zip(eu[order].tolist(), ev[order].tolist(), itertools.repeat(0),
-                       itertools.repeat(0), map(tuple, pos[order].tolist())))
+    take = ids.__getitem__
+    entries = list(zip(map(take, eu[order].tolist()), map(take, ev[order].tolist()),
+                       itertools.repeat(0), itertools.repeat(0)))
     costs = cost[bounds[:-1]].tolist()
     return costs, {c: entries[lo:hi] for c, lo, hi in zip(costs, bounds, bounds[1:])}
 
@@ -345,16 +360,22 @@ def _edge_queue(mesh, Qa):
 def _collapse_edges(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
     """``decimate``'s collapse loop: the edge queue, the link and flip
     tests and each commit, with the re-cost of every edge at the surviving
-    vertex written out on floats in ``_collapse_many``'s expressions."""
+    vertex written out on floats in ``_collapse_many``'s expressions.
+
+    Every vertex and triangle id it holds is one item of ``ids``, so its
+    tuples and lists share one int object per id.  The edge queue's arrays
+    are freed before the per-vertex lists are built, so their peaks do not
+    add."""
     n_verts = mesh.n_vertices
-    verts = list(map(tuple, mesh.vertices.tolist()))
-    tris = list(map(tuple, mesh.triangles.tolist()))
-    alive_tri = [True] * len(tris)
-    v_tris = _vertex_triangles(mesh.triangles, n_verts)
+    ids = list(range(max(n_verts, len(mesh.triangles))))
     Qa = _vertex_quadrics(mesh.vertices, mesh.triangles)
+    costs, buckets = _edge_queue(mesh, Qa, ids)
     Q = list(map(tuple, Qa.tolist()))
-    costs, buckets = _edge_queue(mesh, Qa)
     del Qa
+    verts = list(map(tuple, mesh.vertices.tolist()))
+    tris = [(ids[a], ids[b], ids[c]) for a, b, c in mesh.triangles.tolist()]
+    alive_tri = [True] * len(tris)
+    v_tris = _vertex_triangles(mesh.triangles, n_verts, ids)
     version = [0] * n_verts  # -1 once removed, so one test catches both
     heappop, heappush = heapq.heappop, heapq.heappush
 
@@ -363,15 +384,15 @@ def _collapse_edges(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
         least = costs[0]
         bucket = buckets[least]
         if len(bucket) == 1:
-            u, v, ver_u, ver_v, pos = bucket[0]
+            u, v, ver_u, ver_v = bucket[0]
             heappop(costs)
             del buckets[least]
         else:
-            u, v, ver_u, ver_v, pos = heappop(bucket)
+            u, v, ver_u, ver_v = heappop(bucket)
         if version[u] != ver_u or version[v] != ver_v:
             continue
         tu, tv = v_tris[u], v_tris[v]
-        dead = tu & tv
+        dead = list(filter(tv.__contains__, tu))
         if not dead:
             continue
         # link condition: the vertices that u and v both touch must be those
@@ -385,7 +406,8 @@ def _collapse_edges(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
             continue
         # simulate: move u and v to pos; reject a surviving triangle whose
         # normal flips or whose area vanishes
-        px, py, pz = pos
+        q = tuple(map(add, Q[u], Q[v]))
+        px, py, pz = pos = _collapse_position(q, verts[u], verts[v])
         ok = True
         for m, ts in ((u, tu), (v, tv)):
             for ti in ts:
@@ -414,15 +436,16 @@ def _collapse_edges(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
             continue
         # commit: u takes pos and the summed quadric, v's triangles pass to u
         verts[u] = pos
-        Q[u] = tuple(map(add, Q[u], Q[v]))
+        Q[u] = q
         for ti in dead:
             alive_tri[ti] = False
-            for w in tris[ti]:
-                v_tris[w].discard(ti)
+        for w in ring:  # every copy, should a triangle repeat a corner
+            incident = v_tris[w]
+            incident[:] = itertools.filterfalse(dead.__contains__, incident)
         for ti in tv:
             a, b, c = tris[ti]
             tris[ti] = (u if a == v else a, u if b == v else b, u if c == v else c)
-        tu |= tv
+        tu += tv
         tv.clear()
         version[v] = -1
         n_alive -= 1
@@ -432,7 +455,7 @@ def _collapse_edges(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
         nbrs |= nbrs_v
         nbrs -= ring
         for w in ring:
-            if w != u and w != v and not v_tris[w].isdisjoint(tu):
+            if w != u and w != v and any(map(tu.__contains__, v_tris[w])):
                 nbrs.add(w)
         # re-cost every edge of u: _collapse_many's expressions on floats
         u00, u01, u02, u03, u11, u12, u13, u22, u23, u33 = Q[u]
@@ -447,7 +470,7 @@ def _collapse_edges(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
             c2 = a01 * a12 - a11 * a02
             det = a00 * c0 - a01 * c1 + a02 * c2
             scale = max(abs(a00), abs(a11), abs(a22), 1e-300)
-            x = None
+            cw = None
             if abs(det) > 1e-10 * scale**3:
                 b0, b1, b2 = -q03, -q13, -q23
                 d1 = b1 * a22 - a12 * b2
@@ -459,7 +482,6 @@ def _collapse_edges(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
                 wx, wy, wz = verts[w]
                 if ((x0 - px) * (x0 - wx) + (x1 - py) * (x1 - wy) + (x2 - pz) * (x2 - wz)
                         <= (wx - px) * (wx - px) + (wy - py) * (wy - py) + (wz - pz) * (wz - pz)):
-                    x = (x0, x1, x2)
                     cw = (
                         a00 * x0 * x0 + a11 * x1 * x1 + a22 * x2 * x2
                         + 2.0 * (a01 * x0 * x1 + a02 * x0 * x2 + a12 * x1 * x2)
@@ -470,15 +492,15 @@ def _collapse_edges(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
                 a, b, ver_a, ver_b = u, w, ver_u, version[w]
             else:
                 a, b, ver_a, ver_b = w, u, version[w], ver_u
-            if x is None:
-                cw, x = _collapse_fallback(
-                    (a00, a01, a02, q03, a11, a12, q13, a22, q23, q33), verts[a], verts[b])
+            if cw is None:
+                cw = _collapse_fallback(
+                    (a00, a01, a02, q03, a11, a12, q13, a22, q23, q33), verts[a], verts[b])[0]
             bucket = buckets.get(cw)
             if bucket is None:
-                buckets[cw] = [(a, b, ver_a, ver_b, x)]
+                buckets[cw] = [(a, b, ver_a, ver_b)]
                 heappush(costs, cw)
             else:
-                heappush(bucket, (a, b, ver_a, ver_b, x))
+                heappush(bucket, (a, b, ver_a, ver_b))
 
     # compact
     used = sorted({w for ti, ok in enumerate(alive_tri) if ok for w in tris[ti]})
@@ -492,7 +514,8 @@ def _collapse_edges(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
 
 
 def propagate_surface(mesh_ed: SurfaceMesh, field_t: DisplacementField, frame_id: int = 0) -> SurfaceMesh:
-    """Push ED vertices through the field; connectivity is untouched."""
+    """Push ED vertices through the field; the frame shares the ED
+    triangles as a read-only view."""
     grid = field_t.as_volume()
     ci = (mesh_ed.vertices - np.asarray(grid.origin)) / np.asarray(grid.spacing)
     nz, ny, nx = grid.data.shape[:3]
@@ -501,4 +524,4 @@ def propagate_surface(mesh_ed: SurfaceMesh, field_t: DisplacementField, frame_id
         log.warning("%d surface vertices fall outside the field grid (clamped)",
                     int(outside.sum()))
     disp = field_t.sample(mesh_ed.vertices)
-    return SurfaceMesh(mesh_ed.vertices + disp, mesh_ed.triangles.copy(), frame_id)
+    return SurfaceMesh(mesh_ed.vertices + disp, geometry.read_only(mesh_ed.triangles), frame_id)

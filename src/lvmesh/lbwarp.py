@@ -112,7 +112,8 @@ def warp(mesh_ed: TetMesh, weights: InteriorWeights, target_surface: SurfaceMesh
 
     ``target_surface`` must share vertex ids with the surface that generated
     ``mesh_ed`` (as produced by surface propagation).  Returns the warped
-    mesh (with quality attached) and solve diagnostics; raises when some
+    mesh (with quality attached, sharing the ED tets and boundary map as
+    read-only views) and solve diagnostics; raises when some
     interior vertex reaches no boundary vertex, and when the interior solve's
     relative residual exceeds 1e-8.
     """
@@ -134,7 +135,7 @@ def warp(mesh_ed: TetMesh, weights: InteriorWeights, target_surface: SurfaceMesh
             raise LbwarpError(f"interior solve residual {residual:.3e} exceeds tolerance")
         new_pos[weights.interior_ids] = x
         iterations = 1
-    out = TetMesh(new_pos, mesh_ed.tets.copy(), mesh_ed.boundary_map.copy(),
-                  target_surface.frame_id)
+    out = TetMesh(new_pos, geometry.read_only(mesh_ed.tets),
+                  geometry.read_only(mesh_ed.boundary_map), target_surface.frame_id)
     out.quality = assess(out)
     return out, WarpInfo(iterations, residual)

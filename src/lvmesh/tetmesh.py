@@ -269,12 +269,13 @@ def assess(mesh: TetMesh) -> QualityReport:
 
 def propagate_volume(mesh_ed: TetMesh, field_t: DisplacementField, frame_id: int = 0) -> TetMesh:
     """Move every vertex by the sampled field; inverted elements are only
-    reported through the attached quality, never repaired."""
+    reported through the attached quality, never repaired.  The frame shares
+    the ED tets and boundary map as read-only views."""
     disp = field_t.sample(mesh_ed.vertices)
     out = TetMesh(
         mesh_ed.vertices + disp,
-        mesh_ed.tets.copy(),
-        mesh_ed.boundary_map.copy(),
+        geometry.read_only(mesh_ed.tets),
+        geometry.read_only(mesh_ed.boundary_map),
         frame_id,
     )
     out.quality = assess(out)

@@ -6,9 +6,10 @@ from hypothesis.extra import numpy as hnp
 
 import _oracles
 import lvmesh.lbwarp as lbwarp
-from lvmesh.isosurface import SurfaceMesh
+from lvmesh.isosurface import SurfaceMesh, propagate_surface
 from lvmesh.lbwarp import LbwarpError, compute_weights, warp
-from lvmesh.tetmesh import TetMesh
+from lvmesh.register import DisplacementField
+from lvmesh.tetmesh import TetMesh, propagate_volume
 
 
 def _two_tet_mesh():
@@ -51,6 +52,22 @@ def test_boundary_pinned_bit_exact(ed_surface, ed_tetmesh):
     assert np.array_equal(out.vertices[out.boundary_map], target.vertices)
     assert info.residual < 1e-10
     assert np.array_equal(out.tets, ed_tetmesh.tets)
+
+
+def test_frame_meshes_share_read_only_ed_connectivity(ed_surface, ed_tetmesh):
+    field = DisplacementField(np.full((48, 48, 48, 3), 0.5), (1, 1, 1))
+    surf = propagate_surface(ed_surface, field)
+    vol = propagate_volume(ed_tetmesh, field)
+    warped, _ = warp(ed_tetmesh, compute_weights(ed_tetmesh), surf)
+    shared = [(surf.triangles, ed_surface.triangles)]
+    for mesh in (vol, warped):
+        shared += [(mesh.tets, ed_tetmesh.tets), (mesh.boundary_map, ed_tetmesh.boundary_map)]
+    for frame, ed in shared:
+        assert np.array_equal(frame, ed)
+        assert np.shares_memory(frame, ed)
+        with pytest.raises(ValueError, match="read-only"):
+            frame[0] = frame[0]
+        assert ed.flags.writeable
 
 
 @settings(max_examples=25)
