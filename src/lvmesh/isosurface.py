@@ -309,10 +309,17 @@ def decimate(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
     Collapses that would flip a surviving triangle's normal, create a
     non-manifold edge (link condition) or produce a degenerate face are
     rejected.  Stops at the target vertex count or when no legal collapse
-    remains.
+    remains.  A triangle that repeats a corner, such as (a, a, b), raises
+    ``IsosurfaceError``: the link and flip tests assume three distinct
+    corners.
     """
     if target_vertex_count < 4:
         raise IsosurfaceError("target vertex count must be at least 4")
+    t = mesh.triangles
+    repeated = np.count_nonzero((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 2] == t[:, 0]))
+    if repeated:
+        raise IsosurfaceError(f"{repeated} triangles repeat a corner; "
+                              "decimation needs three distinct corners per triangle")
     # The loop makes no reference cycles, but its many tuples and lists would
     # set off several full collections of the whole heap.  One collection
     # afterwards is less work, and it also hands back the memory that the

@@ -6,6 +6,7 @@ library is meaningful.
 """
 
 import heapq
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -419,8 +420,49 @@ def tet_volumes(mesh: TetMesh) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# VTK writers as first written: one ``write`` per line.  The library's
-# writers must produce byte-identical files.
+# VTK writers, BINARY: one ``struct.pack`` per value and one ``write`` per
+# section.  The library's writers must produce byte-identical files.
+
+
+def _section(header: str, fmt: str, values) -> bytes:
+    return header.encode() + b"".join(struct.pack(fmt, x) for x in values) + b"\n"
+
+
+def _cell_list(rows) -> list:
+    return [x for row in rows.tolist() for x in (len(row), *row)]
+
+
+def write_polydata(mesh: SurfaceMesh, path: str) -> None:
+    v = mesh.vertices
+    t = mesh.triangles
+    with open(path, "wb") as fh:
+        fh.write(b"# vtk DataFile Version 3.0\nsurface\nBINARY\nDATASET POLYDATA\n")
+        fh.write(_section(f"POINTS {len(v)} double\n", ">d", v.ravel().tolist()))
+        fh.write(_section(f"POLYGONS {len(t)} {4 * len(t)}\n", ">i", _cell_list(t)))
+
+
+def write_unstructured_grid(mesh: TetMesh, path: str) -> None:
+    v = mesh.vertices
+    t = mesh.tets
+    with open(path, "wb") as fh:
+        fh.write(b"# vtk DataFile Version 3.0\ntetmesh\nBINARY\nDATASET UNSTRUCTURED_GRID\n")
+        fh.write(_section(f"POINTS {len(v)} double\n", ">d", v.ravel().tolist()))
+        fh.write(_section(f"CELLS {len(t)} {5 * len(t)}\n", ">i", _cell_list(t)))
+        fh.write(_section(f"CELL_TYPES {len(t)}\n", ">i", [10] * len(t)))
+        if mesh.quality is not None:
+            fh.write(_section(f"CELL_DATA {len(t)}\nSCALARS scaled_jacobian double 1\n"
+                              "LOOKUP_TABLE default\n", ">d",
+                              mesh.quality.scaled_jacobian.tolist()))
+        if len(mesh.boundary_map):
+            sidx = [-1] * len(v)
+            for i, vertex in enumerate(mesh.boundary_map.tolist()):
+                sidx[vertex] = i
+            fh.write(_section(f"POINT_DATA {len(v)}\nSCALARS surface_index int 1\n"
+                              "LOOKUP_TABLE default\n", ">i", sidx))
+
+
+# ASCII VTK writers as first written, one ``write`` per line, kept to make
+# text fixtures for the readers.
 
 
 def _fmt(x: float) -> str:
@@ -432,7 +474,7 @@ def _point(p) -> str:
     return f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}\n"
 
 
-def write_polydata(mesh: SurfaceMesh, path: str) -> None:
+def write_polydata_ascii(mesh: SurfaceMesh, path: str) -> None:
     v = mesh.vertices
     t = mesh.triangles
     with open(path, "w") as fh:
@@ -447,7 +489,7 @@ def write_polydata(mesh: SurfaceMesh, path: str) -> None:
             fh.write(f"3 {a} {b} {c}\n")
 
 
-def write_unstructured_grid(mesh: TetMesh, path: str) -> None:
+def write_unstructured_grid_ascii(mesh: TetMesh, path: str) -> None:
     v = mesh.vertices
     t = mesh.tets
     with open(path, "w") as fh:

@@ -354,6 +354,22 @@ def test_decimate_keeps_topology_and_matches_oracle_on_random_blobs(seed):
 
 
 @settings(max_examples=20)
+@given(st.integers(0, 2**32 - 1))
+def test_decimate_rejects_triangles_that_repeat_a_corner(seed):
+    # five (a, a, b) triangles appended to a random blob's surface, the
+    # repeated corner rolled through all three slots
+    rng = np.random.default_rng(seed)
+    mask = random_blob(rng, (8, 8, 8))
+    surf = marching_cubes(LabelVolume(mask.astype(np.int32), (1, 1, 1)), 1)
+    a, b = rng.choice(surf.n_vertices, (2, 5))
+    b = np.where(a == b, (a + 1) % surf.n_vertices, b)
+    rolled = [np.roll(row, k % 3) for k, row in enumerate(np.stack([a, a, b], 1))]
+    repeated = SurfaceMesh(surf.vertices, np.concatenate([surf.triangles, rolled]))
+    with pytest.raises(IsosurfaceError, match="^5 triangles repeat a corner"):
+        decimate(repeated, max(4, surf.n_vertices // 4))
+
+
+@settings(max_examples=20)
 @given(st.integers(0, 2**32 - 1), st.floats(0.02, 0.4))
 def test_decimate_matches_oracle_on_open_surfaces(seed, drop):
     # random holes give boundary edges, edges with a single wing and

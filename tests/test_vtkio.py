@@ -1,4 +1,5 @@
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -58,10 +59,13 @@ def test_unstructured_grid_roundtrip_with_boundary_map(tmp_path):
     np.testing.assert_allclose(back.vertices, mesh.vertices, rtol=1e-8)
     np.testing.assert_array_equal(back.tets, mesh.tets)
     np.testing.assert_array_equal(back.boundary_map, mesh.boundary_map)
-    text = open(path).read()
-    assert "CELL_TYPES" in text and "10" in text
-    assert "scaled_jacobian" in text
-    assert "surface_index" in text
+    data = open(path, "rb").read()
+    assert data.startswith(b"# vtk DataFile Version 3.0\ntetmesh\nBINARY\n"
+                           b"DATASET UNSTRUCTURED_GRID\nPOINTS 5 double\n")
+    assert b"\nCELLS 2 10\n" in data
+    assert b"\nCELL_TYPES 2\n" + struct.pack(">2i", 10, 10) + b"\n" in data
+    assert b"\nCELL_DATA 2\nSCALARS scaled_jacobian double 1\nLOOKUP_TABLE default\n" in data
+    assert b"\nPOINT_DATA 5\nSCALARS surface_index int 1\nLOOKUP_TABLE default\n" in data
 
 
 def test_unstructured_grid_without_quality(tmp_path):
@@ -131,6 +135,17 @@ def test_malformed_files_raise(tmp_path):
         read_unstructured_grid(str(bad))
 
 
+def test_reader_names_a_section_it_does_not_read(tmp_path):
+    p = tmp_path / "tri.vtk"
+    p.write_text(
+        "# vtk DataFile Version 3.0\nt\nASCII\nDATASET POLYDATA\n"
+        "POINTS 3 float\n0 0 0\n1 0 0\n0 1 0\nPOLYGONS 1 4\n3 0 1 2\n"
+        "POINT_DATA 3\nNORMALS n float\n0 0 1\n0 0 1\n0 0 1\n"
+    )
+    with pytest.raises(VtkIoError, match="tri.vtk.*unsupported section 'NORMALS'"):
+        read_polydata(str(p))
+
+
 def test_polydata_rejects_non_triangles(tmp_path):
     p = tmp_path / "quad.vtk"
     p.write_text(
@@ -171,13 +186,12 @@ def _assert_same_file(tmp_path, write, write_ref, mesh):
     assert got.read_bytes() == ref.read_bytes()
 
 
-def test_polydata_writer_matches_oracle_bytes(tmp_path, ed_surface):
+def _surfaces(ed_surface):
     empty = SurfaceMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))
-    for surf in (_surface(), _odd_surface(), _random_scale_surface(), ed_surface, empty):
-        _assert_same_file(tmp_path, write_polydata, _oracles.write_polydata, surf)
+    return (_surface(), _odd_surface(), _random_scale_surface(), ed_surface, empty)
 
 
-def test_unstructured_grid_writer_matches_oracle_bytes(tmp_path, ed_tetmesh):
+def _tetmeshes(ed_tetmesh):
     bare = TetMesh(_ODD, np.array([[0, 1, 2, 3], [1, 2, 3, 4]]), np.arange(0))
     assert bare.quality is None and len(bare.boundary_map) == 0
     mapped = TetMesh(_ODD, bare.tets, np.array([4, 0, 2]))
@@ -187,9 +201,82 @@ def test_unstructured_grid_writer_matches_oracle_bytes(tmp_path, ed_tetmesh):
     odd_quality.quality = assess(odd_quality)
     odd_quality.quality.scaled_jacobian = np.array([np.nan, -np.inf])
     empty = TetMesh(np.empty((0, 3)), np.empty((0, 4), dtype=np.int64), np.arange(0))
-    for mesh in (bare, mapped, odd_quality, empty, _tetmesh(), ed_tetmesh):
+    return (bare, mapped, odd_quality, empty, _tetmesh(), ed_tetmesh)
+
+
+def test_polydata_writer_matches_oracle_bytes(tmp_path, ed_surface):
+    for surf in _surfaces(ed_surface):
+        _assert_same_file(tmp_path, write_polydata, _oracles.write_polydata, surf)
+
+
+def test_unstructured_grid_writer_matches_oracle_bytes(tmp_path, ed_tetmesh):
+    for mesh in _tetmeshes(ed_tetmesh):
         _assert_same_file(tmp_path, write_unstructured_grid,
                           _oracles.write_unstructured_grid, mesh)
+
+
+def test_ascii_and_binary_files_read_back_to_identical_arrays(tmp_path, ed_surface, ed_tetmesh):
+    text, binary = str(tmp_path / "text.vtk"), str(tmp_path / "binary.vtk")
+    for surf in _surfaces(ed_surface):
+        _oracles.write_polydata_ascii(surf, text)
+        write_polydata(surf, binary)
+        assert open(text, "rb").read().split(b"\n")[2] == b"ASCII"
+        a, b = read_polydata(text), read_polydata(binary)
+        _assert_bit_equal(a.vertices, b.vertices)
+        _assert_bit_equal(a.triangles, b.triangles)
+    for mesh in _tetmeshes(ed_tetmesh):
+        _oracles.write_unstructured_grid_ascii(mesh, text)
+        write_unstructured_grid(mesh, binary)
+        a, b = read_unstructured_grid(text), read_unstructured_grid(binary)
+        _assert_bit_equal(a.vertices, b.vertices)
+        _assert_bit_equal(a.tets, b.tets)
+        _assert_bit_equal(a.boundary_map, b.boundary_map)
+
+
+def _binary_grid(tmp_path, old=b"", new=b"", keep=None):
+    """``_tetmesh`` written as a BINARY file, with ``old`` replaced by
+    ``new`` and only the first ``keep`` bytes kept."""
+    path = tmp_path / "m.vtk"
+    write_unstructured_grid(_tetmesh(), str(path))
+    path.write_bytes(path.read_bytes().replace(old, new)[:keep])
+    return str(path)
+
+
+def test_binary_reader_rejects_a_truncated_payload(tmp_path):
+    full = open(_binary_grid(tmp_path), "rb").read()
+    cut = full.index(b"CELLS 2 10\n") + len(b"CELLS 2 10\n") + 17
+    with pytest.raises(VtkIoError, match="m.vtk.*CELLS section has 4 values for 10 indices"):
+        read_unstructured_grid(_binary_grid(tmp_path, keep=cut))
+
+
+def test_binary_reader_rejects_a_count_that_overruns_the_file(tmp_path):
+    path = _binary_grid(tmp_path, b"POINTS 5 double", b"POINTS 500 double")
+    with pytest.raises(VtkIoError, match="m.vtk.*POINTS section has .* values for 500 points"):
+        read_unstructured_grid(path)
+
+
+@pytest.mark.parametrize("encoding", [b"GZIP", b"", b"ASCII BINARY"])
+def test_reader_rejects_a_third_header_line_other_than_ascii_or_binary(tmp_path, encoding):
+    path = _binary_grid(tmp_path, b"\nBINARY\n", b"\n" + encoding + b"\n")
+    with pytest.raises(VtkIoError, match="m.vtk.*third header line must be ASCII or BINARY"):
+        read_unstructured_grid(path)
+
+
+@pytest.mark.parametrize("index", [2**31, -2**31 - 1])
+def test_writer_rejects_an_index_outside_int32(tmp_path, index):
+    surf = SurfaceMesh(_ODD, np.array([[0, 1, index]]))
+    with pytest.raises(VtkIoError, match="s.vtk.*POLYGONS index outside the int32 range"):
+        write_polydata(surf, str(tmp_path / "s.vtk"))
+
+
+def test_writer_rejects_a_count_outside_int32(tmp_path):
+    # a broadcast view stores one point for all 2**31; the count is checked
+    # before any payload is built
+    surf = SurfaceMesh(_ODD, np.array([[0, 1, 2]]))
+    surf.vertices = np.broadcast_to(np.zeros(3), (2**31, 3))
+    with pytest.raises(VtkIoError, match="s.vtk.*POINTS count 2147483648 does not fit in int32"):
+        write_polydata(surf, str(tmp_path / "s.vtk"))
+    assert not (tmp_path / "s.vtk").exists()
 
 
 # any finite float64, with signed zero, subnormals and +-1e300 drawn often
