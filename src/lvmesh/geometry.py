@@ -111,13 +111,13 @@ def _candidate_pairs(queries, order, bounds, centers, radii):
         reach = block_bound.max()
         query, tri = [], []
         for class_tree, ids, radius in classes:
-            pairs = block_tree.sparse_distance_matrix(
-                class_tree, reach + radius + 1e-12, output_type="ndarray"
+            pairs = class_tree.sparse_distance_matrix(
+                block_tree, reach + radius + 1e-12, output_type="ndarray"
             )
             i, j = pairs["i"], pairs["j"]
-            keep = pairs["v"] <= block_bound[i] + radii[ids[j]] + 1e-12
-            query.append(block[i[keep]])
-            tri.append(ids[j[keep]])
+            keep = pairs["v"] <= block_bound[j] + radii[ids[i]] + 1e-12
+            query.append(block[j[keep]])
+            tri.append(ids[i[keep]])
         query, tri = np.concatenate(query), np.concatenate(tri)
         for plo in range(0, len(query), _PAIR_BLOCK):
             yield query[plo : plo + _PAIR_BLOCK], tri[plo : plo + _PAIR_BLOCK]

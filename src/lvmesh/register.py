@@ -4,9 +4,10 @@ Both backends minimize the same objective family: mean squared intensity
 error between the fixed image and the warped moving image, plus a smoothness
 penalty.  The dense backend optimizes a per-voxel displacement field with the
 squared 7-point Laplacian as regularizer (Adam-style first-order updates on a
-coarse-to-fine pyramid).  The FFD backend optimizes cubic B-spline control
-displacements with a bending-energy penalty and a stochastic decaying-step
-descent (2048 random sample points per iteration).
+coarse-to-fine pyramid, twice as many sweeps per coarser level, each level's
+step decaying along a cosine).  The FFD backend optimizes cubic B-spline
+control displacements with a bending-energy penalty and a stochastic
+decaying-step descent (2048 random sample points per iteration).
 
 Fields map fixed-frame (ED) physical points x to moving-frame points x + u(x),
 which is the direction needed to push ED mesh vertices forward in time.
@@ -14,6 +15,7 @@ which is the direction needed to push ED mesh vertices forward in time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,7 +82,7 @@ class RegistrationConfig:
 
     backend: str = "dense"  # dense | ffd
     lam: float = 1e-3  # smoothness weight in the dense loss
-    iterations: int = 60  # dense: sweeps per pyramid level
+    iterations: int = 15  # dense: finest-level sweeps, doubled per coarser level
     pyramid_levels: int = 3
     step_size: float = 0.4  # dense Adam step, mm
     ffd_iterations: int = 500  # ffd: total iterations
@@ -227,6 +229,11 @@ def register_dense(fixed: ImageVolume, moving: ImageVolume, config: Registration
 
     Intensities are jointly rescaled to [0, 1] before optimization so the
     step size and smoothness weight are resolution- and contrast-portable.
+    The finest level runs ``config.iterations`` Adam sweeps and each coarser
+    level twice as many as the one below it, counting only the levels the
+    grid allows, so a level costs about a quarter of the next finer one.
+    ``history``, when given, gains one row (level factor, sweep, total,
+    similarity, smoothness) per sweep, the loss before its step.
     """
     config = config or RegistrationConfig()
     _check_pair(fixed, moving)
@@ -242,25 +249,33 @@ def register_dense(fixed: ImageVolume, moving: ImageVolume, config: Registration
 
     u = None
     prev_grid = None
-    for factor in levels:
+    for k, factor in enumerate(levels):
         fx = _downsample(nfixed, factor)
         mv = _downsample(nmoving, factor)
         if u is None:
             u = np.zeros(fx.data.shape + (3,))
         else:
             u = _upsample_field(u, prev_grid, fx)
-        u = _adam_minimize(fx, mv, u, config, factor, history)
+        sweeps = config.iterations << (len(levels) - 1 - k)
+        u = _adam_minimize(fx, mv, u, config, factor, sweeps, history)
         prev_grid = fx
     return DisplacementField(u, fixed.spacing, fixed.origin)
 
 
-def _adam_minimize(fx, mv, u, config: RegistrationConfig, level: int, history: list | None):
+def _adam_minimize(fx, mv, u, config: RegistrationConfig, level: int, sweeps: int,
+                   history: list | None):
+    """``sweeps`` Adam steps on one pyramid level; returns the lowest-loss field.
+
+    Sweep ``it`` steps by ``step_size * (1 + cos(pi * it / sweeps)) / 2``:
+    the full step first, then ever shorter ones, so the level ends settled
+    near its minimum rather than still moving by the full step.
+    """
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     centers, fixed_data, u = _dense_inputs(fx, mv, u)
     m = np.zeros_like(u)
     v = np.zeros_like(u)
     best_u, best_loss = u, np.inf
-    for it in range(config.iterations):
+    for it in range(sweeps):
         (total, sim, smooth), g = _objective(centers, fixed_data, mv, u, config.lam)
         if not np.isfinite(total):
             raise RegistrationError(f"dense optimization diverged at iteration {it}")
@@ -272,7 +287,8 @@ def _adam_minimize(fx, mv, u, config: RegistrationConfig, level: int, history: l
         v = beta2 * v + (1 - beta2) * g * g
         mh = m / (1 - beta1 ** (it + 1))
         vh = v / (1 - beta2 ** (it + 1))
-        u = u - config.step_size * mh / (np.sqrt(vh) + eps)
+        step = config.step_size * 0.5 * (1.0 + math.cos(math.pi * it / sweeps))
+        u = u - step * mh / (np.sqrt(vh) + eps)
     (total, _, _), _ = _objective(centers, fixed_data, mv, u, config.lam)
     if total < best_loss:
         best_loss, best_u = total, u

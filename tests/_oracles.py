@@ -6,6 +6,7 @@ library is meaningful.
 """
 
 import heapq
+import math
 import struct
 from dataclasses import replace
 
@@ -810,12 +811,13 @@ def grad_dense(fixed: ImageVolume, moving: ImageVolume, u: np.ndarray, lam: floa
     return (sim + lam * smooth, sim, smooth), g
 
 
-def _adam_minimize(fx, mv, u, config: RegistrationConfig, level: int, history: list | None):
+def _adam_minimize(fx, mv, u, config: RegistrationConfig, level: int, sweeps: int,
+                   history: list | None):
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     m = np.zeros_like(u)
     v = np.zeros_like(u)
     best_u, best_loss = u.copy(), np.inf
-    for it in range(config.iterations):
+    for it in range(sweeps):
         (total, sim, smooth), g = grad_dense(fx, mv, u, config.lam)
         if not np.isfinite(total):
             raise RegistrationError(f"dense optimization diverged at iteration {it}")
@@ -827,7 +829,8 @@ def _adam_minimize(fx, mv, u, config: RegistrationConfig, level: int, history: l
         v = beta2 * v + (1 - beta2) * g * g
         mh = m / (1 - beta1 ** (it + 1))
         vh = v / (1 - beta2 ** (it + 1))
-        u = u - config.step_size * mh / (np.sqrt(vh) + eps)
+        step = config.step_size * 0.5 * (1.0 + math.cos(math.pi * it / sweeps))
+        u = u - step * mh / (np.sqrt(vh) + eps)
     (total, _, _), _ = grad_dense(fx, mv, u, config.lam)
     if total < best_loss:
         best_loss, best_u = total, u
@@ -836,7 +839,9 @@ def _adam_minimize(fx, mv, u, config: RegistrationConfig, level: int, history: l
 
 def register_dense(fixed: ImageVolume, moving: ImageVolume, config: RegistrationConfig | None = None,
                    history: list | None = None) -> DisplacementField:
-    """The former ``register.register_dense``, verbatim but for the kernels."""
+    """The former ``register.register_dense`` but for the kernels, on its
+    current schedule: ``config.iterations`` cosine-stepped sweeps at the
+    finest level and twice as many at each coarser one."""
     config = config or RegistrationConfig()
     if not fixed.same_grid(moving):
         raise RegistrationError("fixed and moving grids differ")
@@ -852,7 +857,7 @@ def register_dense(fixed: ImageVolume, moving: ImageVolume, config: Registration
 
     u = None
     prev_grid = None
-    for factor in levels:
+    for k, factor in enumerate(levels):
         fx = _downsample(nfixed, factor)
         mv = _downsample(nmoving, factor)
         if u is None:
@@ -860,7 +865,8 @@ def register_dense(fixed: ImageVolume, moving: ImageVolume, config: Registration
         else:
             carrier = ImageVolume(u, prev_grid.spacing, prev_grid.origin)
             u = sample_trilinear_paths(carrier, fx.voxel_centers(), False)[0]
-        u = _adam_minimize(fx, mv, u, config, factor, history)
+        sweeps = config.iterations * 2 ** (len(levels) - 1 - k)
+        u = _adam_minimize(fx, mv, u, config, factor, sweeps, history)
         prev_grid = fx
     return DisplacementField(u, fixed.spacing, fixed.origin)
 

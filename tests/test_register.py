@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from lvmesh import register
+from lvmesh import phantom, pipeline, register
 from lvmesh.register import (
     DisplacementField,
     FfdTransform,
@@ -176,7 +177,7 @@ def test_register_dense_matches_oracle_bitwise(pair, small_phantom):
     ref = _oracles.register_dense(fixed, moving, cfg, ref_history)
     assert np.abs(ref.u).max() > 0
     _assert_bitwise(got.u, ref.u)
-    assert len(history) == 8 and history == ref_history
+    assert len(history) == 12 and history == ref_history  # 8 coarse sweeps, 4 fine
 
 
 def test_register_dense_recovers_small_translation():
@@ -204,6 +205,37 @@ def test_register_dense_loss_history():
                    history)
     assert len(history) == 5
     assert all(len(row) == 5 for row in history)
+
+
+@pytest.mark.parametrize("shape, iterations, levels, sweeps", [
+    ((16, 16, 16), 3, 3, [(4, 12), (2, 6), (1, 3)]),
+    ((8, 8, 8), 3, 3, [(2, 6), (1, 3)]),  # a factor-4 level would be 2 voxels wide
+    ((16, 16, 16), 1, 3, [(4, 4), (2, 2), (1, 1)]),
+])
+def test_register_dense_sweeps_double_per_coarser_level(shape, iterations, levels, sweeps):
+    rng = np.random.default_rng(5)
+    fixed = ImageVolume(rng.standard_normal(shape), (1, 1, 1))
+    moving = ImageVolume(rng.standard_normal(shape), (1, 1, 1))
+    history = []
+    register_dense(fixed, moving,
+                   RegistrationConfig(iterations=iterations, pyramid_levels=levels), history)
+    assert [row[:2] for row in history] == [(f, it) for f, n in sweeps for it in range(n)]
+
+
+def test_dense_field_error_on_the_pipeline_default_phantom():
+    # DEFAULT_CONFIG's LV and registration settings at 2 mm on 24^3 voxels,
+    # the size the pipeline_default benchmark runs: mean error inside the ED
+    # myocardium against the analytic field, over peak systole (frame 1) and
+    # the return to ED (frame 2)
+    cfg = copy.deepcopy(pipeline.DEFAULT_CONFIG)
+    cfg["phantom"].update(dims=[24, 24, 24], spacing=[2.0, 2.0, 2.0], n_frames=3)
+    spec, reg_config, _ = pipeline.stage_configs(pipeline.validate_config(cfg))
+    frames, labels, _ = phantom.generate(spec)
+    myo = labels[0].data == phantom.LABEL_MYOCARDIUM
+    epe = [np.linalg.norm(register_dense(frames[0], frames[t], reg_config).u
+                          - phantom.analytic_field(spec, t), axis=-1)[myo].mean()
+           for t in (1, 2)]
+    assert np.mean(epe) <= 0.9, epe
 
 
 def test_register_dense_grid_mismatch():
