@@ -64,7 +64,7 @@ def is_watertight(triangles) -> bool:
     return bool(np.all(counts == 2))
 
 
-def euler_characteristic(vertices, triangles) -> int:
+def euler_characteristic(triangles) -> int:
     keys, _ = edge_use_counts(triangles)
     nv = len(np.unique(np.asarray(triangles).ravel()))
     return nv - len(keys) + len(triangles)

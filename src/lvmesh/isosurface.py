@@ -66,7 +66,7 @@ class SurfaceMesh:
         return geometry.enclosed_volume(self.vertices, self.triangles)
 
     def euler_characteristic(self) -> int:
-        return geometry.euler_characteristic(self.vertices, self.triangles)
+        return geometry.euler_characteristic(self.triangles)
 
 
 # Freudenthal split: each tet follows one axis-insertion order from cube
@@ -311,7 +311,8 @@ def decimate(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
     rejected.  Stops at the target vertex count or when no legal collapse
     remains.  A triangle that repeats a corner, such as (a, a, b), raises
     ``IsosurfaceError``: the link and flip tests assume three distinct
-    corners.
+    corners.  So does a vertex that is not finite: the queue's order
+    assumes finite costs.
     """
     if target_vertex_count < 4:
         raise IsosurfaceError("target vertex count must be at least 4")
@@ -320,6 +321,9 @@ def decimate(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
     if repeated:
         raise IsosurfaceError(f"{repeated} triangles repeat a corner; "
                               "decimation needs three distinct corners per triangle")
+    nonfinite = np.count_nonzero(~np.isfinite(mesh.vertices).all(axis=1))
+    if nonfinite:
+        raise IsosurfaceError(f"{nonfinite} vertices are not finite")
     # The loop makes no reference cycles, but its many tuples and lists would
     # set off several full collections of the whole heap.  One collection
     # afterwards is less work, and it also hands back the memory that the
@@ -344,24 +348,16 @@ def _vertex_triangles(triangles, n_verts, ids):
 
 
 def _edge_queue(mesh, Qa, ids):
-    """The collapse queue of every unique edge, costed in one pass: the
-    distinct costs as a heap, and a dict from each cost to the heap of its
-    (u, v, ver_u, ver_v) entries, since costs often tie (0.0 on flat
-    patches).  Pops follow these keys, which are unique, as one heap of
-    (cost, entry) tuples would.  Vertex ids are taken from ``ids``."""
+    """The collapse queue of every unique edge, costed in one pass: a heap
+    of (cost, u, v, ver_u, ver_v) entries, which sorted by (cost, u, v) it
+    already is.  Costs often tie (0.0 on flat patches); the ids then set
+    the order.  Vertex ids are taken from ``ids``."""
     eu, ev = geometry.edge_use_counts(mesh.triangles)[0].T
     cost, _ = _collapse_many(Qa[eu] + Qa[ev], mesh.vertices[eu], mesh.vertices[ev])
-    # entries sorted by (cost, u, v) are already heaps, as are the sorted costs
     order = np.argsort(cost, kind="stable")
-    cost = cost[order]
-    starts = np.ones(len(cost) + 1, dtype=bool)
-    starts[1:-1] = cost[1:] != cost[:-1]
-    bounds = np.flatnonzero(starts).tolist()
     take = ids.__getitem__
-    entries = list(zip(map(take, eu[order].tolist()), map(take, ev[order].tolist()),
-                       itertools.repeat(0), itertools.repeat(0)))
-    costs = cost[bounds[:-1]].tolist()
-    return costs, {c: entries[lo:hi] for c, lo, hi in zip(costs, bounds, bounds[1:])}
+    return list(zip(cost[order].tolist(), map(take, eu[order].tolist()),
+                    map(take, ev[order].tolist()), itertools.repeat(0), itertools.repeat(0)))
 
 
 def _collapse_edges(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
@@ -376,7 +372,7 @@ def _collapse_edges(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
     n_verts = mesh.n_vertices
     ids = list(range(max(n_verts, len(mesh.triangles))))
     Qa = _vertex_quadrics(mesh.vertices, mesh.triangles)
-    costs, buckets = _edge_queue(mesh, Qa, ids)
+    heap = _edge_queue(mesh, Qa, ids)
     Q = list(map(tuple, Qa.tolist()))
     del Qa
     verts = list(map(tuple, mesh.vertices.tolist()))
@@ -387,15 +383,8 @@ def _collapse_edges(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
     heappop, heappush = heapq.heappop, heapq.heappush
 
     n_alive = n_verts
-    while n_alive > target_vertex_count and costs:
-        least = costs[0]
-        bucket = buckets[least]
-        if len(bucket) == 1:
-            u, v, ver_u, ver_v = bucket[0]
-            heappop(costs)
-            del buckets[least]
-        else:
-            u, v, ver_u, ver_v = heappop(bucket)
+    while n_alive > target_vertex_count and heap:
+        _, u, v, ver_u, ver_v = heappop(heap)
         if version[u] != ver_u or version[v] != ver_v:
             continue
         tu, tv = v_tris[u], v_tris[v]
@@ -502,22 +491,12 @@ def _collapse_edges(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
             if cw is None:
                 cw = _collapse_fallback(
                     (a00, a01, a02, q03, a11, a12, q13, a22, q23, q33), verts[a], verts[b])[0]
-            bucket = buckets.get(cw)
-            if bucket is None:
-                buckets[cw] = [(a, b, ver_a, ver_b)]
-                heappush(costs, cw)
-            else:
-                heappush(bucket, (a, b, ver_a, ver_b))
+            heappush(heap, (cw, a, b, ver_a, ver_b))
 
     # compact
-    used = sorted({w for ti, ok in enumerate(alive_tri) if ok for w in tris[ti]})
-    new_id = {w: i for i, w in enumerate(used)}
-    out_tris = np.array(
-        [[new_id[w] for w in tris[ti]] for ti, ok in enumerate(alive_tri) if ok],
-        dtype=np.int64,
-    )
-    out_verts = np.array([verts[w] for w in used])
-    return SurfaceMesh(out_verts, out_tris, mesh.frame_id)
+    kept = np.array(list(itertools.compress(tris, alive_tri)), dtype=np.int64)
+    used, out_tris = np.unique(kept, return_inverse=True)
+    return SurfaceMesh(np.array(verts)[used], out_tris.reshape(-1, 3), mesh.frame_id)
 
 
 def propagate_surface(mesh_ed: SurfaceMesh, field_t: DisplacementField, frame_id: int = 0) -> SurfaceMesh:

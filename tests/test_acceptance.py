@@ -37,7 +37,7 @@ SPEC64 = phantom.PhantomSpec(
     noise_sigma=2.0,
     seed=42,
 )
-DENSE_CFG = RegistrationConfig(iterations=100, step_size=0.4, lam=0.1,
+DENSE_CFG = RegistrationConfig(iterations=25, step_size=0.4, lam=0.1,
                                pyramid_levels=3)
 FFD_CFG = RegistrationConfig(backend="ffd", seed=2)
 

@@ -60,9 +60,9 @@ def test_sphere_area_and_volume_converge():
 
 
 def test_watertight_and_euler():
-    v, t = _icosphere(1)
+    _, t = _icosphere(1)
     assert geometry.is_watertight(t)
-    assert geometry.euler_characteristic(v, t) == 2
+    assert geometry.euler_characteristic(t) == 2
     assert not geometry.is_watertight(t[:-1])
 
 

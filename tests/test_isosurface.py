@@ -301,7 +301,7 @@ def test_decimate_peak_memory_per_input_vertex():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak / surf.n_vertices < 2500
+    assert peak / surf.n_vertices < 1700
 
 
 def test_decimate_matches_oracle_when_no_legal_collapse_remains():
@@ -367,6 +367,17 @@ def test_decimate_rejects_triangles_that_repeat_a_corner(seed):
     repeated = SurfaceMesh(surf.vertices, np.concatenate([surf.triangles, rolled]))
     with pytest.raises(IsosurfaceError, match="^5 triangles repeat a corner"):
         decimate(repeated, max(4, surf.n_vertices // 4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decimate_rejects_vertices_that_are_not_finite(bad):
+    cube = np.zeros((6, 6, 6), dtype=np.int32)
+    cube[1:5, 1:5, 1:5] = 1
+    surf = marching_cubes(LabelVolume(cube, (1, 1, 1)), 1)
+    verts = surf.vertices.copy()
+    verts[7, 1] = bad
+    with pytest.raises(IsosurfaceError, match="^1 vertices are not finite"):
+        decimate(SurfaceMesh(verts, surf.triangles), 20)
 
 
 @settings(max_examples=20)
