@@ -40,14 +40,9 @@ def _config(args):
 def cmd_phantom(args):
     cfg, (spec, _, _) = _config(args)
     frames, labels, fields, misaligned = pipeline.make_phantom(spec, cfg["seed"])
-    pipeline.write_phantom(args.out, spec.spacing, frames, labels, fields)
-    print(f"wrote {spec.n_frames} frames to {args.out}")
-    if misaligned is not None:
-        bad_frames, bad_labels, applied = misaligned
-        out = os.path.join(args.out, "misaligned")
-        pipeline.write_volumes(out, bad_frames, bad_labels)
-        pipeline.write_shifts(os.path.join(out, "applied_shifts.csv"), applied)
-        print(f"wrote the misaligned frames to {out}")
+    out = pipeline.Artifacts(args.out)
+    pipeline.write_phantom(out, spec.spacing, frames, labels, fields, misaligned)
+    print(f"wrote {len(out.files)} files to {args.out}")
 
 
 def cmd_align(args):
@@ -56,7 +51,7 @@ def cmd_align(args):
     frames = FrameSequence([read_mhd(p) for p in frame_paths])
     labels = [read_mhd(p, labels=True) for p in label_paths]
     out_frames, out_labels, shifts = align.correct(frames, labels, args.label)
-    pipeline.write_alignment(args.out, out_frames, out_labels, shifts)
+    pipeline.write_alignment(pipeline.Artifacts(args.out), out_frames, out_labels, shifts)
     print(f"aligned {frames.n_frames} frames; shifts written to "
           f"{args.out}/corrected_shifts.csv")
 
@@ -64,10 +59,11 @@ def cmd_align(args):
 def cmd_register(args):
     cfg, (_, reg_config, _) = _config(args)
     frames = FrameSequence([read_mhd(p) for p in _load_sequence(args.input, "frame")])
+    out = pipeline.Artifacts(args.out)
     for pairing in cfg["register"]["pairings"]:
         history = []
         fields = register.register_sequence(frames, reg_config, pairing, history)
-        pipeline.write_registration(args.out, pairing, fields, history)
+        pipeline.write_registration(out, pairing, fields, history)
         print(f"{pairing}: {len(fields)} fields written")
 
 
@@ -121,18 +117,18 @@ def cmd_lbwarp(args):
             f"{args.mesh!r} carries no surface correspondence (surface_index)"
         )
     weights = lbwarp.compute_weights(mesh)
-    os.makedirs(args.out, exist_ok=True)
+    out = pipeline.Artifacts(args.out)
     rows = []
     for i, surf_path in enumerate(args.surfaces, start=1):
         warped, info = lbwarp.warp(mesh, weights, vtkio.read_polydata(surf_path))
-        vtkio.write_unstructured_grid(warped, os.path.join(args.out, f"tet_lbwarp_{i:02d}.vtk"))
+        vtkio.write_unstructured_grid(warped, out.path(f"tet_lbwarp_{i:02d}.vtk"))
         q = warped.quality
         rows.append((i, os.path.basename(surf_path), q.min_scaled_jacobian,
                      q.mean_scaled_jacobian, q.fraction_acceptable, q.n_nonpositive,
                      f"{info.residual:.3e}"))
         print(f"{surf_path}: warped (residual {info.residual:.2e})")
     metrics.write_csv_rows(
-        os.path.join(args.out, "quality.csv"),
+        out.path("quality.csv"),
         ["index", "surface", "min_scaled_jacobian", "mean_scaled_jacobian",
          "fraction_acceptable", "n_nonpositive", "residual"], rows)
 

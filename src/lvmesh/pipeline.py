@@ -12,11 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import yaml
@@ -28,9 +29,8 @@ from .volume import ImageVolume, LabelVolume, VolumeError, resample_z, write_mhd
 
 __all__ = [
     "PipelineError", "MeshConfig", "load_config", "validate_config", "stage_configs",
-    "make_phantom", "extract_surface", "build_tetmesh", "write_shifts", "write_volumes",
-    "write_phantom", "write_alignment",
-    "write_registration", "run", "report",
+    "make_phantom", "extract_surface", "build_tetmesh", "Artifacts", "write_shifts",
+    "write_volumes", "write_phantom", "write_alignment", "write_registration", "run", "report",
 ]
 
 log = logging.getLogger(__name__)
@@ -88,8 +88,9 @@ DEFAULT_CONFIG = {
 def _typed(name: str, value, default):
     """``value`` in the type of its ``DEFAULT_CONFIG`` entry; raises naming the key.
 
-    An int takes no float or bool, a float takes any number but a bool, and a
-    numeric list is a list or tuple of the default's length and element type.
+    An int takes no float or bool, a float takes any finite number but a bool,
+    and a numeric list is a list or tuple of the default's length and element
+    type.
     """
     if isinstance(default, list):
         _require(isinstance(value, (list, tuple)) and len(value) == len(default),
@@ -98,6 +99,8 @@ def _typed(name: str, value, default):
     allowed = {str: str, int: int, float: (int, float)}[type(default)]
     _require(isinstance(value, allowed) and not isinstance(value, bool),
              f"{name} must be of type {type(default).__name__}, got {value!r}")
+    _require(not isinstance(default, float) or math.isfinite(value),
+             f"{name} must be finite, got {value!r}")
     return type(default)(value)
 
 
@@ -188,27 +191,30 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-class _Tree:
-    """Tracks emitted files relative to the output root."""
+@dataclass
+class Artifacts:
+    """Writes files under ``root`` and lists each one in ``files``, relative to ``root``."""
 
-    def __init__(self, root: str):
-        self.root = root
-        self.files: list[str] = []
+    root: str
+    files: list[str] = field(default_factory=list)
+    prefix: str = ""  # the subdirectory, with its "/", that ``sub`` chose
+
+    def sub(self, name: str) -> Artifacts:
+        """This recorder for the subdirectory ``name``, listing into the same ``files``."""
+        return replace(self, prefix=f"{self.prefix}{name}/")
 
     def path(self, rel: str) -> str:
+        """The full path of ``rel``, listed, with its directory made."""
+        rel = self.prefix + rel
         full = os.path.join(self.root, rel)
         os.makedirs(os.path.dirname(full), exist_ok=True)
         self.files.append(rel)
         return full
 
-    def add_dir(self, rel: str, names: list[str]) -> None:
-        """Track ``names``, written in the directory ``rel``."""
-        self.files += [f"{rel}/{name}" for name in names]
-
-
-def _write_mhd(directory: str, stem: str, vol) -> list[str]:
-    write_mhd(vol, os.path.join(directory, stem + ".mhd"))
-    return [stem + ".mhd", stem + ".raw"]
+    def mhd(self, stem: str, vol) -> None:
+        """``vol`` as ``<stem>.mhd`` and its ``<stem>.raw`` payload."""
+        write_mhd(vol, self.path(stem + ".mhd"))
+        self.files.append(self.prefix + stem + ".raw")
 
 
 def write_shifts(path: str, shifts: np.ndarray) -> None:
@@ -218,48 +224,43 @@ def write_shifts(path: str, shifts: np.ndarray) -> None:
                     for k, (dx, dy) in enumerate(frame)])
 
 
-def write_volumes(directory: str, frames, labels) -> list[str]:
-    """``frame_XX`` and ``labels_XX`` volumes; returns their names within
-    ``directory``."""
-    os.makedirs(directory, exist_ok=True)
-    names = []
+def write_volumes(out: Artifacts, frames, labels) -> None:
+    """``frame_XX`` and ``labels_XX`` volumes."""
     for t, (frame, label) in enumerate(zip(frames, labels)):
-        names += _write_mhd(directory, f"frame_{t:02d}", frame)
-        names += _write_mhd(directory, f"labels_{t:02d}", label)
-    return names
+        out.mhd(f"frame_{t:02d}", frame)
+        out.mhd(f"labels_{t:02d}", label)
 
 
-def write_phantom(directory: str, spacing, frames, labels, fields) -> list[str]:
-    """Phantom stage's files: ``frame_XX`` and ``labels_XX`` volumes and the
-    ground-truth ``gt_field_XX`` on the ``spacing`` grid; returns their names
-    within ``directory``."""
-    names = write_volumes(directory, frames, labels)
+def write_phantom(out: Artifacts, spacing, frames, labels, fields, misaligned) -> None:
+    """Phantom stage's files: ``frame_XX`` and ``labels_XX`` volumes, the
+    ground-truth ``gt_field_XX`` on the ``spacing`` grid and, unless
+    ``misaligned`` is None, its volumes and ``applied_shifts.csv`` under
+    ``misaligned/``."""
+    write_volumes(out, frames, labels)
     for t, field in enumerate(fields):
-        names += _write_mhd(directory, f"gt_field_{t:02d}", ImageVolume(field, spacing))
-    return names
+        out.mhd(f"gt_field_{t:02d}", ImageVolume(field, spacing))
+    if misaligned is not None:
+        bad_frames, bad_labels, applied = misaligned
+        bad = out.sub("misaligned")
+        write_volumes(bad, bad_frames, bad_labels)
+        write_shifts(bad.path("applied_shifts.csv"), applied)
 
 
-def write_alignment(directory: str, frames, labels, shifts) -> list[str]:
+def write_alignment(out: Artifacts, frames, labels, shifts) -> None:
     """Alignment stage's files: ``frame_XX`` and ``labels_XX`` volumes and
-    ``corrected_shifts.csv``; returns their names within ``directory``."""
-    names = write_volumes(directory, frames, labels)
-    write_shifts(os.path.join(directory, "corrected_shifts.csv"), shifts)
-    return names + ["corrected_shifts.csv"]
+    ``corrected_shifts.csv``."""
+    write_volumes(out, frames, labels)
+    write_shifts(out.path("corrected_shifts.csv"), shifts)
 
 
-def write_registration(directory: str, pairing: str, fields, history) -> list[str]:
+def write_registration(out: Artifacts, pairing: str, fields, history) -> None:
     """Registration stage's files for ``pairing``: per pair, the float64 field
     ``field_<pairing>_XX`` and its loss trace ``loss_<pairing>_XX.csv``, as
-    ``register_sequence`` returns and fills them; returns their names within
-    ``directory``."""
-    os.makedirs(directory, exist_ok=True)
-    names = []
+    ``register_sequence`` returns and fills them."""
     for t, (field, losses) in enumerate(zip(fields, history), start=1):
-        names += _write_mhd(directory, f"field_{pairing}_{t:02d}", field.as_volume())
-        write_csv_rows(os.path.join(directory, f"loss_{pairing}_{t:02d}.csv"),
+        out.mhd(f"field_{pairing}_{t:02d}", field.as_volume())
+        write_csv_rows(out.path(f"loss_{pairing}_{t:02d}.csv"),
                        ["level", "iteration", "total", "similarity", "smoothness"], losses)
-        names.append(f"loss_{pairing}_{t:02d}.csv")
-    return names
 
 
 def make_phantom(spec: phantom.PhantomSpec, seed: int):
@@ -321,8 +322,7 @@ def run(config, output_dir: str) -> str:
         cfg = load_config(config)
     else:
         cfg = validate_config(config)
-    os.makedirs(output_dir, exist_ok=True)
-    tree = _Tree(output_dir)
+    tree = Artifacts(output_dir)
     stages_done = []
     spec, reg_config, mesh_config = stage_configs(cfg)
     n_frames = spec.n_frames
@@ -330,20 +330,15 @@ def run(config, output_dir: str) -> str:
     # --- phantom -----------------------------------------------------------
     with _stage(stages_done, "phantom"):
         frames, gt_labels, gt_fields, misaligned = make_phantom(spec, cfg["seed"])
-        tree.add_dir("phantom", write_phantom(os.path.join(output_dir, "phantom"), spec.spacing,
-                                              frames, gt_labels, gt_fields))
+        write_phantom(tree.sub("phantom"), spec.spacing, frames, gt_labels, gt_fields,
+                      misaligned)
 
-    # --- misalignment + alignment -----------------------------------------
+    # --- alignment ---------------------------------------------------------
     work_frames, work_labels = frames, gt_labels
     if misaligned is not None:
-        bad_frames, bad_labels, applied = misaligned
-        with _stage(stages_done, "misalign"):
-            write_shifts(tree.path("align/applied_shifts.csv"), applied)
-
         with _stage(stages_done, "align"):
-            work_frames, work_labels, shifts = align.correct(bad_frames, bad_labels)
-            tree.add_dir("align", write_alignment(os.path.join(output_dir, "align"),
-                                                  work_frames, work_labels, shifts))
+            work_frames, work_labels, shifts = align.correct(*misaligned[:2])
+            write_alignment(tree.sub("align"), work_frames, work_labels, shifts)
 
     # --- registration ------------------------------------------------------
     fields_by_pairing = {}
@@ -352,8 +347,7 @@ def run(config, output_dir: str) -> str:
             history = []
             fields = register.register_sequence(work_frames, reg_config, pairing, history)
             fields_by_pairing[pairing] = fields
-            tree.add_dir("register", write_registration(os.path.join(output_dir, "register"),
-                                                        pairing, fields, history))
+            write_registration(tree.sub("register"), pairing, fields, history)
 
     if "fixed_reference" in fields_by_pairing:
         fields = fields_by_pairing["fixed_reference"]
@@ -424,7 +418,7 @@ def run(config, output_dir: str) -> str:
         "stages": stages_done,
         "files": {
             rel: _sha256(os.path.join(output_dir, rel))
-            for rel in sorted(set(tree.files))
+            for rel in sorted(tree.files)
         },
     }
     manifest_path = os.path.join(output_dir, "manifest.json")

@@ -155,6 +155,8 @@ def _numbers(header: dict, key: str, kind, default: str, count: int, path: str) 
         values = ()
     if len(values) != count:
         raise VolumeError(f"bad {key} {text!r} in {path!r}: expected {count} value(s)")
+    if not np.isfinite(values).all():
+        raise VolumeError(f"non-finite {key} {text!r} in {path!r}")
     return values
 
 
@@ -190,12 +192,13 @@ def _unsupported(header: dict, path: str) -> None:
 def read_mhd(path: str, labels: bool = False):
     """Read a MetaImage header + raw pair.
 
-    Returns a LabelVolume when ``labels`` is true (payload cast to integer),
-    else an ImageVolume.  Vector-valued payloads are supported through the
-    ElementNumberOfChannels key.  The origin is read from ``Offset`` or its
-    aliases ``Origin`` and ``Position``.  Big-endian, compressed, in-header or
-    multi-file payloads, a header offset and a non-identity orientation are
-    rejected with a VolumeError naming the key.
+    Returns a LabelVolume when ``labels`` is true (payload cast to integer;
+    a value that is not a 32-bit integer raises), else an ImageVolume.
+    Vector-valued payloads are supported through the ElementNumberOfChannels
+    key.  The origin is read from ``Offset`` or its aliases ``Origin`` and
+    ``Position``.  Big-endian, compressed, in-header or multi-file payloads, a
+    header offset, a non-identity orientation and a non-finite spacing or
+    origin are rejected with a VolumeError naming the key.
     """
     header = _parse_header(path)
     for key in ("DimSize", "ElementType", "ElementDataFile"):
@@ -232,7 +235,12 @@ def read_mhd(path: str, labels: bool = False):
         data = payload.reshape(nz, ny, nx, channels)
     data = data.astype(dtype.newbyteorder("="))
     if labels:
-        return LabelVolume(data.astype(np.int32), spacing, origin)
+        with np.errstate(invalid="ignore"):
+            label_data = data.astype(np.int32)
+        if not np.array_equal(label_data, data):
+            raise VolumeError(f"label payload of {path!r} holds values that are not "
+                              "32-bit integers")
+        return LabelVolume(label_data, spacing, origin)
     return ImageVolume(data, spacing, origin)
 
 

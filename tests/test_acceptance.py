@@ -31,6 +31,10 @@ def criterion(number, title):
 
 SPEC64 = phantom.PhantomSpec(
     dims=(64, 64, 64),
+    spacing=(1.0, 1.0, 1.0),
+    endo_axes=(14.0, 14.0, 22.0),
+    epi_axes=(22.0, 22.0, 30.0),
+    basal_cut_mm=18.0,
     n_frames=6,
     contraction=0.22,
     shortening=0.10,

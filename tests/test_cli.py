@@ -136,17 +136,17 @@ def test_cli_reproduces_pipeline_alignment(tmp_path):
     assert main(["register", "--config", cfg_path, "--input", str(cli / "align"),
                  "--out", str(cli / "register")]) == 0
 
-    # the pipeline keeps the applied shifts beside the aligned volumes
-    os.replace(misaligned / "applied_shifts.csv", cli / "align" / "applied_shifts.csv")
     files = _assert_same_files(tmp_path, ("phantom", "align", "register"))
     n = cfg["phantom"]["n_frames"]
     assert {f"phantom/frame_{n - 1:02d}.raw", f"phantom/gt_field_{n - 1:02d}.raw",
+            f"phantom/misaligned/frame_{n - 1:02d}.raw",
+            f"phantom/misaligned/labels_{n - 1:02d}.raw", "phantom/misaligned/applied_shifts.csv",
             f"align/labels_{n - 1:02d}.raw", "align/corrected_shifts.csv",
-            "align/applied_shifts.csv", "register/loss_fixed_reference_01.csv"} <= set(files)
+            "register/loss_fixed_reference_01.csv"} <= set(files)
     # the misaligned copies differ from the phantom the pipeline lists
     assert (misaligned / f"frame_{n - 1:02d}.raw").read_bytes() != (
         cli / "phantom" / f"frame_{n - 1:02d}.raw").read_bytes()
-    with open(cli / "align" / "applied_shifts.csv") as fh:
+    with open(misaligned / "applied_shifts.csv") as fh:
         assert any(row["dx_vox"] != "0" or row["dy_vox"] != "0" for row in csv.DictReader(fh))
 
 

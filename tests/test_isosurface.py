@@ -393,3 +393,17 @@ def test_decimate_matches_oracle_on_open_surfaces(seed, drop):
     holed = SurfaceMesh(surf.vertices, surf.triangles[keep])
     assert not holed.is_watertight()
     _decimate_like_oracle(holed, max(4, surf.n_vertices // 4))
+
+
+def test_decimate_sums_the_push_time_ball_terms_left_to_right():
+    # two coordinates of a jittered blob surface, found by a seeded search,
+    # put one re-costed edge's minimizer on its ball's rim to rounding: the
+    # loop's inline ball test, summed left to right as the oracle sums it,
+    # keeps the minimizer; summed as a + (b + c) it falls back, and the
+    # decimated surface differs
+    mask = random_blob(np.random.default_rng(15), (7, 7, 7))
+    surf = marching_cubes(LabelVolume(mask.astype(np.int32), (1, 1, 1)), 1, iso_policy="smooth")
+    v = surf.vertices + np.random.default_rng(1015).normal(0.0, 1e-3, surf.vertices.shape)
+    v[238, 0] = -0.001247097235494529
+    v[178, 1] = 0.9633091319179804
+    _decimate_like_oracle(SurfaceMesh(v, surf.triangles), 83)

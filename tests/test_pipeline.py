@@ -70,6 +70,25 @@ def test_validate_rejects_bad_types():
         validate_config({"phantom": {"endo_axes": [20, 20, 20], "epi_axes": [10, 10, 10]}})
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_validate_rejects_non_finite_floats(bad):
+    # one key of each section and one list element
+    for section, key, value in [("phantom", "noise_sigma", bad),
+                                ("phantom", "epi_axes", [17.0, bad, 22.0]),
+                                ("register", "step_size", bad),
+                                ("mesh", "max_tet_volume_mm3", bad)]:
+        with pytest.raises(PipelineError, match=rf"{section}\.{key} must be finite"):
+            validate_config({section: {key: value}})
+
+
+def test_load_config_rejects_yaml_inf_and_nan(tmp_path):
+    path = tmp_path / "config.yaml"
+    for text in (".inf", "-.inf", ".nan"):
+        path.write_text(f"phantom:\n  basal_cut_mm: {text}\n")
+        with pytest.raises(PipelineError, match=r"phantom\.basal_cut_mm must be finite"):
+            load_config(str(path))
+
+
 _CHOICES = {
     "backend": st.sampled_from(["dense", "ffd"]),
     "pairings": st.lists(st.sampled_from(["fixed_reference", "sequential"]),

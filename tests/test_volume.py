@@ -129,6 +129,26 @@ def test_mhd_unsupported_or_malformed_key_rejected(tmp_path, key, value):
         read_mhd(_mhd_with(tmp_path, **{key: value}))
 
 
+@pytest.mark.parametrize("key", ["ElementSpacing", "Offset", "Origin", "Position"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_mhd_non_finite_spacing_or_origin_rejected(tmp_path, key, bad):
+    with pytest.raises(VolumeError, match=f"non-finite {key}"):
+        read_mhd(_mhd_with(tmp_path, **{key: f"1 {bad} 1"}))
+
+
+@pytest.mark.parametrize("bad", [1.7, -0.5, np.nan, np.inf, 2.0**31])
+def test_mhd_labels_reject_a_payload_value_that_is_not_an_integer(tmp_path, bad):
+    data = np.array([0, 1, 2, 3] * 6, dtype=np.float32).reshape(2, 3, 4)
+    # integer-valued float payloads load as labels
+    back = read_mhd(_mhd_with(tmp_path, data=data), labels=True)
+    assert back.data.dtype == np.int32 and np.array_equal(back.data, data)
+    data[1, 2, 3] = bad
+    path = _mhd_with(tmp_path, data=data)
+    with pytest.raises(VolumeError, match="v.mhd"):
+        read_mhd(path, labels=True)
+    assert np.array_equal(read_mhd(path).data, data, equal_nan=True)
+
+
 @pytest.mark.parametrize("alias", ["Origin", "Position"])
 def test_mhd_origin_aliases_read_as_offset(tmp_path, alias):
     path = tmp_path / "v.mhd"
