@@ -169,14 +169,20 @@ def marching_cubes(labels: LabelVolume, target_label: int, iso_policy: str = "bi
 # quadric-error-metric decimation
 #
 # A quadric is the upper triangle of the symmetric 4x4 matrix Q, held as the
-# 10 terms (q00 q01 q02 q03 q11 q12 q13 q22 q23 q33).  The helpers below
-# unpack it, so they evaluate the same expressions on arrays of terms (the
-# initial edge pass) and on Python floats (the loop's fallback and the
-# position of a popped edge).  The loop's own re-cost writes them out on
-# floats; operands that repeat in them are computed once, which rounds the
-# same.  Queue entries carry no position: a popped edge whose versions
-# still hold has the same quadric and endpoints as when it was pushed, so
-# ``_collapse_position`` recomputes the pushed position bit for bit.
+# 10 terms (q00 q01 q02 q03 q11 q12 q13 q22 q23 q33).  Contracting an edge
+# sums its two vertex quadrics and moves to their minimizer, solved by
+# Cramer's rule, unless the normal system is ill conditioned or the solution
+# leaves the ball whose diameter is the edge; then it moves to the cheapest
+# of the two ends and their midpoint, the first of them on ties.  That rule
+# is written twice, in the same expressions and order: ``_collapse`` on
+# Python floats, for the collapse loop, and ``_collapse_many`` on arrays, for
+# the first pass over every edge.  Both round as ``tests/_oracles.py``
+# does, bit for bit: ``test_collapse_*`` compares the two functions and the
+# oracle edge by edge, ``test_initial_edge_collapses_match_oracle_per_edge``
+# the first pass, and ``test_decimate_*`` whole decimations, the ball test's
+# sum order at push time among them.  Queue entries carry no position: a
+# popped edge whose versions still hold has the same quadrics and ends as
+# when it was pushed, so ``_collapse`` recomputes the pushed position.
 
 _QUADRIC_TERMS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 
@@ -196,111 +202,82 @@ def _vertex_quadrics(verts, tris):
                      for i, j in _QUADRIC_TERMS], axis=1)
 
 
-def _quadric_cost(q, x):
-    # homogeneous form [x 1] Q [x 1]^T, unrolled for speed
-    q00, q01, q02, q03, q11, q12, q13, q22, q23, q33 = q
-    x0, x1, x2 = x
-    return (
-        q00 * x0 * x0 + q11 * x1 * x1 + q22 * x2 * x2
-        + 2.0 * (q01 * x0 * x1 + q02 * x0 * x2 + q12 * x1 * x2)
-        + 2.0 * (q03 * x0 + q13 * x1 + q23 * x2)
-        + q33
-    )
-
-
-def _normal_det(q):
-    """Determinant of the 3x3 normal system of the quadric minimizer."""
-    a00, a01, a02, _, a11, a12, _, a22, _, _ = q
-    return (
-        a00 * (a11 * a22 - a12 * a12)
-        - a01 * (a01 * a22 - a12 * a02)
-        + a02 * (a01 * a12 - a11 * a02)
-    )
-
-
-def _minimizer(q, det):
-    """Solve the normal system by Cramer's rule, given its determinant."""
-    a00, a01, a02, q03, a11, a12, q13, a22, q23, _ = q
-    b0, b1, b2 = -q03, -q13, -q23
-    x0 = (
-        b0 * (a11 * a22 - a12 * a12)
-        - a01 * (b1 * a22 - a12 * b2)
-        + a02 * (b1 * a12 - a11 * b2)
-    ) / det
-    x1 = (
-        a00 * (b1 * a22 - a12 * b2)
-        - b0 * (a01 * a22 - a02 * a12)
-        + a02 * (a01 * b2 - b1 * a02)
-    ) / det
-    x2 = (
-        a00 * (a11 * b2 - b1 * a12)
-        - a01 * (a01 * b2 - b1 * a02)
-        + b0 * (a01 * a12 - a11 * a02)
-    ) / det
-    return x0, x1, x2
-
-
-def _within_edge_ball(x, va, vb):
-    """False for wild solutions of near-singular quadrics: x must lie in
-    the ball whose diameter is the edge."""
-    x0, x1, x2 = x
-    dx0, dx1, dx2 = x0 - va[0], x1 - va[1], x2 - va[2]
-    ex0, ex1, ex2 = x0 - vb[0], x1 - vb[1], x2 - vb[2]
-    e0, e1, e2 = vb[0] - va[0], vb[1] - va[1], vb[2] - va[2]
-    return dx0 * ex0 + dx1 * ex1 + dx2 * ex2 <= e0 * e0 + e1 * e1 + e2 * e2
-
-
-def _midpoint(va, vb):
-    return (0.5 * (va[0] + vb[0]), 0.5 * (va[1] + vb[1]), 0.5 * (va[2] + vb[2]))
-
-
-def _collapse_fallback(q, va, vb):
-    """(cost, position) of the cheapest of va, vb and the midpoint under q,
-    the first of them on ties: the contraction when the quadric minimizer
-    is ill conditioned or leaves the edge's ball."""
-    best, bx = np.inf, va
-    for x in (va, vb, _midpoint(va, vb)):
-        c = _quadric_cost(q, x)
-        if c < best:
-            best, bx = c, x
-    return _quadric_cost(q, bx), bx
-
-
-def _collapse_position(q, va, vb):
-    """The position ``_collapse_many`` gives one edge, on Python floats."""
-    det = _normal_det(q)
-    scale = max(abs(q[0]), abs(q[4]), abs(q[7]), 1e-300)
-    if abs(det) > 1e-10 * scale**3:
-        x = _minimizer(q, det)
-        if _within_edge_ball(x, va, vb):
-            return x
-    return _collapse_fallback(q, va, vb)[1]
+def _collapse(qa, qb, va, vb):
+    """(cost, position) of contracting the edge (va, vb) whose ends carry
+    the quadrics qa and qb, on Python floats."""
+    u00, u01, u02, u03, u11, u12, u13, u22, u23, u33 = qa
+    w00, w01, w02, w03, w11, w12, w13, w22, w23, w33 = qb
+    a00, a01, a02, q03 = u00 + w00, u01 + w01, u02 + w02, u03 + w03
+    a11, a12, q13, a22 = u11 + w11, u12 + w12, u13 + w13, u22 + w22
+    q23, q33 = u23 + w23, u33 + w33
+    (ax, ay, az), (bx, by, bz) = va, vb
+    c0 = a11 * a22 - a12 * a12
+    c1 = a01 * a22 - a12 * a02
+    c2 = a01 * a12 - a11 * a02
+    det = a00 * c0 - a01 * c1 + a02 * c2
+    scale = max(abs(a00), abs(a11), abs(a22), 1e-300)
+    solved = abs(det) > 1e-10 * scale**3
+    if solved:
+        b0, b1, b2 = -q03, -q13, -q23
+        d1 = b1 * a22 - a12 * b2
+        d3 = a01 * b2 - b1 * a02
+        x0 = (b0 * c0 - a01 * d1 + a02 * (b1 * a12 - a11 * b2)) / det
+        x1 = (a00 * d1 - b0 * c1 + a02 * d3) / det
+        x2 = (a00 * (a11 * b2 - b1 * a12) - a01 * d3 + b0 * c2) / det
+        solved = ((x0 - ax) * (x0 - bx) + (x1 - ay) * (x1 - by) + (x2 - az) * (x2 - bz)
+                  <= (bx - ax) * (bx - ax) + (by - ay) * (by - ay) + (bz - az) * (bz - az))
+    if not solved:
+        best, (x0, x1, x2) = np.inf, va
+        for p0, p1, p2 in (va, vb, (0.5 * (ax + bx), 0.5 * (ay + by), 0.5 * (az + bz))):
+            c = (a00 * p0 * p0 + a11 * p1 * p1 + a22 * p2 * p2
+                 + 2.0 * (a01 * p0 * p1 + a02 * p0 * p2 + a12 * p1 * p2)
+                 + 2.0 * (q03 * p0 + q13 * p1 + q23 * p2) + q33)
+            if c < best:
+                best, x0, x1, x2 = c, p0, p1, p2
+    cost = (a00 * x0 * x0 + a11 * x1 * x1 + a22 * x2 * x2
+            + 2.0 * (a01 * x0 * x1 + a02 * x0 * x2 + a12 * x1 * x2)
+            + 2.0 * (q03 * x0 + q13 * x1 + q23 * x2) + q33)
+    return cost, (x0, x1, x2)
 
 
 def _collapse_many(q, va, vb):
-    """(cost, position) of contracting each edge (va, vb) under the summed
-    quadric q, for an (E, 10) quadric stack and (E, 3) endpoint arrays: the
-    quadric minimizer when the normal system is well conditioned and its
-    solution stays near the edge, else ``_collapse_fallback``'s choice."""
-    terms = tuple(q.T)
-    a, b = tuple(va.T), tuple(vb.T)
-    det = _normal_det(terms)
-    scale = np.maximum(np.maximum(np.maximum(abs(terms[0]), abs(terms[4])), abs(terms[7])), 1e-300)
-    # Python's float power, so the threshold rounds exactly as in the loop
+    """``_collapse`` of each edge (va, vb) under its summed quadric, for an
+    (E, 10) quadric stack and (E, 3) endpoint arrays: (E,) costs, (E, 3)
+    positions."""
+    a00, a01, a02, q03, a11, a12, q13, a22, q23, q33 = q.T
+    (ax, ay, az), (bx, by, bz) = va.T, vb.T
+    c0 = a11 * a22 - a12 * a12
+    c1 = a01 * a22 - a12 * a02
+    c2 = a01 * a12 - a11 * a02
+    det = a00 * c0 - a01 * c1 + a02 * c2
+    scale = np.maximum(np.maximum(np.maximum(abs(a00), abs(a11)), abs(a22)), 1e-300)
+    # Python's float power, so the threshold rounds exactly as in _collapse
     cube = np.array([s**3 for s in scale.tolist()])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        b0, b1, b2 = -q03, -q13, -q23
+        d1 = b1 * a22 - a12 * b2
+        d3 = a01 * b2 - b1 * a02
+        x0 = (b0 * c0 - a01 * d1 + a02 * (b1 * a12 - a11 * b2)) / det
+        x1 = (a00 * d1 - b0 * c1 + a02 * d3) / det
+        x2 = (a00 * (a11 * b2 - b1 * a12) - a01 * d3 + b0 * c2) / det
         solved = abs(det) > 1e-10 * cube
-        x = np.stack(_minimizer(terms, det), axis=1)
-        solved &= _within_edge_ball(tuple(x.T), a, b)
-        best = np.full(len(q), np.inf)
-        pos = va
-        for cand in (va, vb, np.stack(_midpoint(a, b), axis=1)):
-            c = _quadric_cost(terms, tuple(cand.T))
+        solved &= ((x0 - ax) * (x0 - bx) + (x1 - ay) * (x1 - by) + (x2 - az) * (x2 - bz)
+                   <= (bx - ax) * (bx - ax) + (by - ay) * (by - ay) + (bz - az) * (bz - az))
+        best, pos = np.full(len(q), np.inf), va
+        for cand in (va, vb, 0.5 * (va + vb)):
+            p0, p1, p2 = cand.T
+            c = (a00 * p0 * p0 + a11 * p1 * p1 + a22 * p2 * p2
+                 + 2.0 * (a01 * p0 * p1 + a02 * p0 * p2 + a12 * p1 * p2)
+                 + 2.0 * (q03 * p0 + q13 * p1 + q23 * p2) + q33)
             better = c < best
             best = np.where(better, c, best)
             pos = np.where(better[:, None], cand, pos)
-        pos = np.where(solved[:, None], x, pos)
-        return _quadric_cost(terms, tuple(pos.T)), pos
+        pos = np.where(solved[:, None], np.stack([x0, x1, x2], axis=1), pos)
+        x0, x1, x2 = pos.T
+        cost = (a00 * x0 * x0 + a11 * x1 * x1 + a22 * x2 * x2
+                + 2.0 * (a01 * x0 * x1 + a02 * x0 * x2 + a12 * x1 * x2)
+                + 2.0 * (q03 * x0 + q13 * x1 + q23 * x2) + q33)
+        return cost, pos
 
 
 def decimate(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
@@ -362,8 +339,8 @@ def _edge_queue(mesh, Qa, ids):
 
 def _collapse_edges(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
     """``decimate``'s collapse loop: the edge queue, the link and flip
-    tests and each commit, with the re-cost of every edge at the surviving
-    vertex written out on floats in ``_collapse_many``'s expressions.
+    tests, each commit and the re-cost of every edge at the surviving
+    vertex.
 
     Every vertex and triangle id it holds is one item of ``ids``, so its
     tuples and lists share one int object per id.  The edge queue's arrays
@@ -402,8 +379,7 @@ def _collapse_edges(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
             continue
         # simulate: move u and v to pos; reject a surviving triangle whose
         # normal flips or whose area vanishes
-        q = tuple(map(add, Q[u], Q[v]))
-        px, py, pz = pos = _collapse_position(q, verts[u], verts[v])
+        px, py, pz = pos = _collapse(Q[u], Q[v], verts[u], verts[v])[1]
         ok = True
         for m, ts in ((u, tu), (v, tv)):
             for ti in ts:
@@ -432,7 +408,7 @@ def _collapse_edges(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
             continue
         # commit: u takes pos and the summed quadric, v's triangles pass to u
         verts[u] = pos
-        Q[u] = q
+        Q[u] = tuple(map(add, Q[u], Q[v]))
         for ti in dead:
             alive_tri[ti] = False
         for w in ring:  # every copy, should a triangle repeat a corner
@@ -453,45 +429,15 @@ def _collapse_edges(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
         for w in ring:
             if w != u and w != v and any(map(tu.__contains__, v_tris[w])):
                 nbrs.add(w)
-        # re-cost every edge of u: _collapse_many's expressions on floats
-        u00, u01, u02, u03, u11, u12, u13, u22, u23, u33 = Q[u]
-        ver_u = version[u]
+        # re-cost every edge of u; an edge's cost is the same, bit for bit,
+        # with its ends in either order, and the queue holds them in id order
+        qu, ver_u = Q[u], version[u]
         for w in nbrs:
-            w00, w01, w02, w03, w11, w12, w13, w22, w23, w33 = Q[w]
-            a00, a01, a02, q03 = u00 + w00, u01 + w01, u02 + w02, u03 + w03
-            a11, a12, q13, a22 = u11 + w11, u12 + w12, u13 + w13, u22 + w22
-            q23, q33 = u23 + w23, u33 + w33
-            c0 = a11 * a22 - a12 * a12
-            c1 = a01 * a22 - a12 * a02
-            c2 = a01 * a12 - a11 * a02
-            det = a00 * c0 - a01 * c1 + a02 * c2
-            scale = max(abs(a00), abs(a11), abs(a22), 1e-300)
-            cw = None
-            if abs(det) > 1e-10 * scale**3:
-                b0, b1, b2 = -q03, -q13, -q23
-                d1 = b1 * a22 - a12 * b2
-                d3 = a01 * b2 - b1 * a02
-                x0 = (b0 * c0 - a01 * d1 + a02 * (b1 * a12 - a11 * b2)) / det
-                x1 = (a00 * d1 - b0 * c1 + a02 * d3) / det
-                x2 = (a00 * (a11 * b2 - b1 * a12) - a01 * d3 + b0 * c2) / det
-                # the ball test is symmetric in the two ends, bit for bit
-                wx, wy, wz = verts[w]
-                if ((x0 - px) * (x0 - wx) + (x1 - py) * (x1 - wy) + (x2 - pz) * (x2 - wz)
-                        <= (wx - px) * (wx - px) + (wy - py) * (wy - py) + (wz - pz) * (wz - pz)):
-                    cw = (
-                        a00 * x0 * x0 + a11 * x1 * x1 + a22 * x2 * x2
-                        + 2.0 * (a01 * x0 * x1 + a02 * x0 * x2 + a12 * x1 * x2)
-                        + 2.0 * (q03 * x0 + q13 * x1 + q23 * x2)
-                        + q33
-                    )
+            cw = _collapse(qu, Q[w], pos, verts[w])[0]
             if u < w:
-                a, b, ver_a, ver_b = u, w, ver_u, version[w]
+                heappush(heap, (cw, u, w, ver_u, version[w]))
             else:
-                a, b, ver_a, ver_b = w, u, version[w], ver_u
-            if cw is None:
-                cw = _collapse_fallback(
-                    (a00, a01, a02, q03, a11, a12, q13, a22, q23, q33), verts[a], verts[b])[0]
-            heappush(heap, (cw, a, b, ver_a, ver_b))
+                heappush(heap, (cw, w, u, version[w], ver_u))
 
     # compact
     kept = np.array(list(itertools.compress(tris, alive_tri)), dtype=np.int64)

@@ -99,8 +99,13 @@ def _typed(name: str, value, default):
     allowed = {str: str, int: int, float: (int, float)}[type(default)]
     _require(isinstance(value, allowed) and not isinstance(value, bool),
              f"{name} must be of type {type(default).__name__}, got {value!r}")
-    _require(not isinstance(default, float) or math.isfinite(value),
-             f"{name} must be finite, got {value!r}")
+    if isinstance(default, float):
+        try:
+            value = float(value)
+        except OverflowError:
+            raise PipelineError(f"config error: {name} must be finite, got an integer "
+                                "too large for a float") from None
+        _require(math.isfinite(value), f"{name} must be finite, got {value!r}")
     return type(default)(value)
 
 

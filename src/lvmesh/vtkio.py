@@ -195,6 +195,9 @@ def _read(path: str, dataset: str, cell_key: str, corners: int):
         if key not in sections:
             raise VtkIoError(f"{path!r}: no {key} section")
     points, flat = sections["POINTS"], sections[cell_key]
+    nonfinite = np.count_nonzero(~np.isfinite(points).all(axis=1))
+    if nonfinite:
+        raise VtkIoError(f"{path!r}: POINTS section has {nonfinite} points that are not finite")
     if len(flat) % (corners + 1) or not np.all(flat[:: corners + 1] == corners):
         raise VtkIoError(f"{path!r}: only {corners}-point {cell_key} are supported")
     cells = flat.reshape(-1, corners + 1)[:, 1:]

@@ -225,44 +225,66 @@ def _quadric_cost(Q, x):
     )
 
 
-def _optimal_position(Q, va, vb):
-    # minimize the quadric: solve the 3x3 normal system by Cramer's rule
+def _normal_det(Q):
+    # determinant of the 3x3 normal system of the quadric minimizer
     q = Q
     a00, a01, a02 = q[0][0], q[0][1], q[0][2]
     a11, a12, a22 = q[1][1], q[1][2], q[2][2]
-    b0, b1, b2 = -q[0][3], -q[1][3], -q[2][3]
-    det = (
+    return (
         a00 * (a11 * a22 - a12 * a12)
         - a01 * (a01 * a22 - a12 * a02)
         + a02 * (a01 * a12 - a11 * a02)
     )
-    scale = max(abs(a00), abs(a11), abs(a22), 1e-300)
-    if abs(det) > 1e-10 * scale**3:
-        x0 = (
-            b0 * (a11 * a22 - a12 * a12)
-            - a01 * (b1 * a22 - a12 * b2)
-            + a02 * (b1 * a12 - a11 * b2)
-        ) / det
-        x1 = (
-            a00 * (b1 * a22 - a12 * b2)
-            - b0 * (a01 * a22 - a02 * a12)
-            + a02 * (a01 * b2 - b1 * a02)
-        ) / det
-        x2 = (
-            a00 * (a11 * b2 - b1 * a12)
-            - a01 * (a01 * b2 - b1 * a02)
-            + b0 * (a01 * a12 - a11 * a02)
-        ) / det
-        x = (x0, x1, x2)
-        # reject wild solutions from near-singular quadrics
-        dx0, dx1, dx2 = x0 - va[0], x1 - va[1], x2 - va[2]
-        ex0, ex1, ex2 = x0 - vb[0], x1 - vb[1], x2 - vb[2]
-        e0, e1, e2 = vb[0] - va[0], vb[1] - va[1], vb[2] - va[2]
-        if dx0 * ex0 + dx1 * ex1 + dx2 * ex2 <= e0 * e0 + e1 * e1 + e2 * e2:
+
+
+def _minimizer(Q):
+    # solve the 3x3 normal system by Cramer's rule, however ill conditioned
+    q = Q
+    a00, a01, a02 = q[0][0], q[0][1], q[0][2]
+    a11, a12, a22 = q[1][1], q[1][2], q[2][2]
+    b0, b1, b2 = -q[0][3], -q[1][3], -q[2][3]
+    det = _normal_det(Q)
+    x0 = (
+        b0 * (a11 * a22 - a12 * a12)
+        - a01 * (b1 * a22 - a12 * b2)
+        + a02 * (b1 * a12 - a11 * b2)
+    ) / det
+    x1 = (
+        a00 * (b1 * a22 - a12 * b2)
+        - b0 * (a01 * a22 - a02 * a12)
+        + a02 * (a01 * b2 - b1 * a02)
+    ) / det
+    x2 = (
+        a00 * (a11 * b2 - b1 * a12)
+        - a01 * (a01 * b2 - b1 * a02)
+        + b0 * (a01 * a12 - a11 * a02)
+    ) / det
+    return (x0, x1, x2)
+
+
+def _within_edge_ball(x, va, vb):
+    # reject wild solutions from near-singular quadrics
+    x0, x1, x2 = x
+    dx0, dx1, dx2 = x0 - va[0], x1 - va[1], x2 - va[2]
+    ex0, ex1, ex2 = x0 - vb[0], x1 - vb[1], x2 - vb[2]
+    e0, e1, e2 = vb[0] - va[0], vb[1] - va[1], vb[2] - va[2]
+    return dx0 * ex0 + dx1 * ex1 + dx2 * ex2 <= e0 * e0 + e1 * e1 + e2 * e2
+
+
+def _midpoint(va, vb):
+    return (0.5 * (va[0] + vb[0]), 0.5 * (va[1] + vb[1]), 0.5 * (va[2] + vb[2]))
+
+
+def _optimal_position(Q, va, vb):
+    # minimize the quadric when its normal system is well conditioned
+    q = Q
+    scale = max(abs(q[0][0]), abs(q[1][1]), abs(q[2][2]), 1e-300)
+    if abs(_normal_det(Q)) > 1e-10 * scale**3:
+        x = _minimizer(Q)
+        if _within_edge_ball(x, va, vb):
             return x
     best, bx = np.inf, tuple(va)
-    mid = (0.5 * (va[0] + vb[0]), 0.5 * (va[1] + vb[1]), 0.5 * (va[2] + vb[2]))
-    for x in (tuple(va), tuple(vb), mid):
+    for x in (tuple(va), tuple(vb), _midpoint(va, vb)):
         c = _quadric_cost(q, x)
         if c < best:
             best, bx = c, x

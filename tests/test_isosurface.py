@@ -201,52 +201,65 @@ def _random_plane_quadric(rng, normals):
     return tuple(sum(p[:, i] * p[:, j]).item() for i, j in isosurface._QUADRIC_TERMS)
 
 
-def _collapse_position_like_oracle(q, va, vb):
-    """The pop-time position, asserted bit-identical to the vectorized first
-    pass and to the nested-list oracle."""
-    got = isosurface._collapse_position(q, va, vb)
-    _, many = isosurface._collapse_many(np.array([q]), np.array([va]), np.array([vb]))
+def _nested(qa, qb):
+    """The 4x4 nested-list sum of two endpoint quadrics, as the oracle holds it."""
     nested = [[0.0] * 4 for _ in range(4)]
-    for (i, j), term in zip(isosurface._QUADRIC_TERMS, q):
-        nested[i][j] = nested[j][i] = term
-    ref = _oracles._optimal_position(nested, va, vb)
-    assert np.array(got).tobytes() == many[0].tobytes() == np.array(ref).tobytes()
-    return got
+    for (i, j), a, b in zip(isosurface._QUADRIC_TERMS, qa, qb):
+        nested[i][j] = nested[j][i] = a + b
+    return nested
 
 
-def _solved(q):
-    return isosurface._minimizer(q, isosurface._normal_det(q))
+def _endpoint_quadrics(rng, normals):
+    """Two endpoint quadrics whose planes split ``normals`` between them."""
+    k = int(rng.integers(1, len(normals)))
+    return _random_plane_quadric(rng, normals[:k]), _random_plane_quadric(rng, normals[k:])
 
 
-def test_collapse_position_matches_oracle_on_random_quadrics():
+def _collapse_like_oracle(qa, qb, va, vb):
+    """The position of contracting (va, vb); it and the cost are asserted
+    bit-identical across the float collapse, a one-row first pass and the
+    nested-list oracle under the summed quadric."""
+    cost, pos = isosurface._collapse(qa, qb, va, vb)
+    many_cost, many = isosurface._collapse_many(np.array([qa]) + np.array([qb]),
+                                                np.array([va]), np.array([vb]))
+    q = _nested(qa, qb)
+    ref = _oracles._optimal_position(q, va, vb)
+    ref_cost = _oracles._quadric_cost(q, ref)
+    assert np.array(pos).tobytes() == many[0].tobytes() == np.array(ref).tobytes()
+    assert np.array(cost).tobytes() == many_cost.tobytes() == np.array(ref_cost).tobytes()
+    return pos
+
+
+def test_collapse_matches_oracle_on_random_quadrics():
     rng = np.random.default_rng(0)
     branches = set()
     for _ in range(300):
-        q = _random_plane_quadric(rng, rng.standard_normal((int(rng.integers(3, 7)), 3)))
+        qa, qb = _endpoint_quadrics(rng, rng.standard_normal((int(rng.integers(3, 7)), 3)))
         va, vb = (tuple(rng.uniform(-2.0, 2.0, 3).tolist()) for _ in range(2))
-        branches.add(_collapse_position_like_oracle(q, va, vb) == _solved(q))
+        x = _collapse_like_oracle(qa, qb, va, vb)
+        branches.add(x == _oracles._minimizer(_nested(qa, qb)))
     assert branches == {True, False}
 
 
-def test_collapse_position_falls_back_on_a_singular_normal_system():
+def test_collapse_falls_back_on_a_singular_normal_system():
     # every normal lies in the (y, z) plane, so the system's first row is 0
     rng = np.random.default_rng(1)
     for _ in range(50):
         normals = rng.standard_normal((4, 3)) * [0.0, 1.0, 1.0]
-        q = _random_plane_quadric(rng, normals)
-        assert isosurface._normal_det(q) == 0.0
+        qa, qb = _endpoint_quadrics(rng, normals)
+        assert _oracles._normal_det(_nested(qa, qb)) == 0.0
         va, vb = (tuple(rng.uniform(-2.0, 2.0, 3).tolist()) for _ in range(2))
-        x = _collapse_position_like_oracle(q, va, vb)
-        assert x in (va, vb, isosurface._midpoint(va, vb))
+        x = _collapse_like_oracle(qa, qb, va, vb)
+        assert x in (va, vb, _oracles._midpoint(va, vb))
 
 
-def test_collapse_position_at_the_edge_ball_boundary():
+def test_collapse_at_the_edge_ball_boundary():
     # vb slides along a ray from va; bisect its step to the last float that
     # keeps the minimizer in the edge's ball and the first that loses it
     rng = np.random.default_rng(2)
     for _ in range(20):
-        q = _random_plane_quadric(rng, rng.standard_normal((3, 3)))
-        x = _solved(q)
+        qa, qb = _endpoint_quadrics(rng, rng.standard_normal((3, 3)))
+        x = _oracles._minimizer(_nested(qa, qb))
         va = tuple((np.array(x) + rng.standard_normal(3)).tolist())
         ray = rng.standard_normal(3)
 
@@ -254,33 +267,35 @@ def test_collapse_position_at_the_edge_ball_boundary():
             return tuple((np.array(va) + t * ray).tolist())
 
         out, inside = 1e-3, 1e3
-        assert not isosurface._within_edge_ball(x, va, end(out))
-        assert isosurface._within_edge_ball(x, va, end(inside))
+        assert not _oracles._within_edge_ball(x, va, end(out))
+        assert _oracles._within_edge_ball(x, va, end(inside))
         while True:
             mid = 0.5 * (out + inside)
             if mid in (out, inside):
                 break
-            if isosurface._within_edge_ball(x, va, end(mid)):
+            if _oracles._within_edge_ball(x, va, end(mid)):
                 inside = mid
             else:
                 out = mid
-        assert _collapse_position_like_oracle(q, va, end(inside)) == x
-        assert _collapse_position_like_oracle(q, va, end(out)) != x
+        assert _collapse_like_oracle(qa, qb, va, end(inside)) == x
+        assert _collapse_like_oracle(qa, qb, va, end(out)) != x
 
 
-def test_collapse_position_sums_the_ball_terms_left_to_right():
+def test_collapse_sums_the_ball_terms_left_to_right():
     # the minimizer sits on the ball's rim to rounding: summed left to right
-    # the three terms keep it inside, summed as a + (b + c) they do not
+    # the three terms keep it inside, summed as a + (b + c) they do not; the
+    # second quadric is zero, and adding 0.0 leaves the first one's terms
     q = (1.6827508357641487, -0.3743272752905339, 0.038336099797057197, -0.281320090803141,
          0.43923126430326004, 0.49253579542349174, 0.8273312175708163, 0.8780178999325916,
          1.717887137085457, 4.132271930469827)
+    zero = (0.0,) * 10
     va = (-1.4096567396315571, 4.387065327998622, -3.430393018171152)
     vb = (0.08278663336642178, 5.694458797956382, -2.0823939534224074)
-    x = _solved(q)
+    x = _oracles._minimizer(_nested(q, zero))
     a, b, c = ((x[i] - va[i]) * (x[i] - vb[i]) for i in range(3))
     rim = sum((vb[i] - va[i]) * (vb[i] - va[i]) for i in range(3))
     assert a + b + c <= rim < a + (b + c)
-    assert _collapse_position_like_oracle(q, va, vb) == x
+    assert _collapse_like_oracle(q, zero, va, vb) == x
 
 
 def test_decimate_peak_memory_per_input_vertex():

@@ -70,7 +70,9 @@ def test_validate_rejects_bad_types():
         validate_config({"phantom": {"endo_axes": [20, 20, 20], "epi_axes": [10, 10, 10]}})
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan,
+                                 pytest.param(10**400, id="10**400"),
+                                 pytest.param(-(10**400), id="-10**400")])
 def test_validate_rejects_non_finite_floats(bad):
     # one key of each section and one list element
     for section, key, value in [("phantom", "noise_sigma", bad),
@@ -83,7 +85,7 @@ def test_validate_rejects_non_finite_floats(bad):
 
 def test_load_config_rejects_yaml_inf_and_nan(tmp_path):
     path = tmp_path / "config.yaml"
-    for text in (".inf", "-.inf", ".nan"):
+    for text in (".inf", "-.inf", ".nan", str(10**400)):
         path.write_text(f"phantom:\n  basal_cut_mm: {text}\n")
         with pytest.raises(PipelineError, match=r"phantom\.basal_cut_mm must be finite"):
             load_config(str(path))

@@ -233,6 +233,24 @@ def test_ascii_and_binary_files_read_back_to_identical_arrays(tmp_path, ed_surfa
         _assert_bit_equal(a.boundary_map, b.boundary_map)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("encoding", ["ascii", "binary"])
+def test_readers_reject_points_that_are_not_finite(tmp_path, encoding, bad):
+    writers = {
+        "ascii": (_oracles.write_polydata_ascii, _oracles.write_unstructured_grid_ascii),
+        "binary": (write_polydata, write_unstructured_grid),
+    }[encoding]
+    surf, mesh = _surface(), _tetmesh()
+    surf.vertices[3, 1] = mesh.vertices[2, 0] = bad
+    for write, read, data in zip(writers, (read_polydata, read_unstructured_grid), (surf, mesh)):
+        path = str(tmp_path / f"{encoding}.vtk")
+        write(data, path)
+        assert open(path, "rb").read().split(b"\n")[2] == encoding.upper().encode()
+        with pytest.raises(VtkIoError,
+                           match=f"{encoding}.vtk.*POINTS section has 1 points that are not finite"):
+            read(path)
+
+
 def _binary_grid(tmp_path, old=b"", new=b"", keep=None):
     """``_tetmesh`` written as a BINARY file, with ``old`` replaced by
     ``new`` and only the first ``keep`` bytes kept."""
