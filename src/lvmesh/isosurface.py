@@ -288,8 +288,8 @@ def decimate(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
     rejected.  Stops at the target vertex count or when no legal collapse
     remains.  A triangle that repeats a corner, such as (a, a, b), raises
     ``IsosurfaceError``: the link and flip tests assume three distinct
-    corners.  So does a vertex that is not finite: the queue's order
-    assumes finite costs.
+    corners.  So does a vertex that is not finite, or a vertex quadric term
+    that overflows: the queue's order assumes finite costs.
     """
     if target_vertex_count < 4:
         raise IsosurfaceError("target vertex count must be at least 4")
@@ -349,6 +349,11 @@ def _collapse_edges(mesh: SurfaceMesh, target_vertex_count: int) -> SurfaceMesh:
     n_verts = mesh.n_vertices
     ids = list(range(max(n_verts, len(mesh.triangles))))
     Qa = _vertex_quadrics(mesh.vertices, mesh.triangles)
+    # finite vertices far from the origin can still overflow their quadrics
+    nonfinite = np.count_nonzero(~np.isfinite(Qa))
+    if nonfinite:
+        raise IsosurfaceError(f"{nonfinite} vertex quadric terms are not finite; "
+                              "the vertex coordinates are too large")
     heap = _edge_queue(mesh, Qa, ids)
     Q = list(map(tuple, Qa.tolist()))
     del Qa

@@ -576,8 +576,11 @@ def register_sequence(frames, config: RegistrationConfig | None = None,
 
 def compose_fields(f_ab: DisplacementField, f_bc: DisplacementField) -> DisplacementField:
     """(f_ab then f_bc): u(x) = u_ab(x) + u_bc(x + u_ab(x))."""
-    base = f_ab.as_volume()
-    pts = base.voxel_centers()
-    u = f_ab.u + f_bc.sample(pts + f_ab.u)
+    # both sums run in place, which keeps one grid-sized array fewer alive;
+    # u_ab + s and s + u_ab are the same bits
+    pts = f_ab.as_volume().voxel_centers()
+    pts += f_ab.u
+    u = f_bc.sample(pts)
+    u += f_ab.u
     return DisplacementField(u, f_ab.spacing, f_ab.origin)
 

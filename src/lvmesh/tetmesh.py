@@ -35,6 +35,9 @@ __all__ = [
 
 # corner value of the regular tetrahedron before normalization
 _REGULAR_CORNER = np.sqrt(2.0) / 2.0
+# tets per block of _corner_jacobians: a block's temporaries, a few dozen
+# arrays of one value per tet, stay within a core's cache
+_BLOCK = 4096
 
 
 class TetMeshError(Exception):
@@ -115,34 +118,55 @@ def scaled_jacobian(tet_vertices: np.ndarray) -> float:
 def scaled_jacobian_many(tets_xyz: np.ndarray) -> np.ndarray:
     """Vectorized scaled Jacobian for an (M, 4, 3) stack of tets."""
     p = np.asarray(tets_xyz, dtype=np.float64)
-    return _corner_jacobians([p[:, k] for k in range(4)])[0]
+    m = p.shape[0]
+    return _corner_jacobians(p.reshape(-1, 3), np.arange(4 * m).reshape(m, 4))[0]
 
 
-def _corner_jacobians(p):
-    """Scaled Jacobian of each tet with corner arrays p[0..3], each (M, 3),
-    and corner 0's determinant, six times the signed volume."""
-    vals = np.empty((len(p[0]), 4))
-    lengths = {}
-    for ci, (a, b, c) in enumerate(_CORNER_ORDERS):
-        e1, e2, e3 = p[a] - p[ci], p[b] - p[ci], p[c] - p[ci]
-        det = np.einsum("ij,ij->i", e1, np.cross(e2, e3))
-        if ci == 0:
-            det0 = det
-        den = (_edge_length(lengths, ci, a, e1) * _edge_length(lengths, ci, b, e2)
-               * _edge_length(lengths, ci, c, e3))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            vals[:, ci] = np.where(den > 0, det / np.maximum(den, 1e-300), 0.0)
-    out = vals.min(axis=1) / _REGULAR_CORNER
-    return np.clip(out, -1.0, 1.0), det0
+def _corner_jacobians(vertices, tets):
+    """Scaled Jacobian of each tet of tets (M, 4), which index vertices
+    (N, 3), and corner 0's determinant, six times the signed volume.
+
+    The tets are graded _BLOCK at a time into preallocated outputs.  Corner
+    coordinates are gathered as (3, B) rows, so each cross product component
+    is one row expression, written as np.cross writes it.  The dot product
+    stays np.einsum's on (B, 3) rows: on (3, B) rows it would sum the three
+    products in another order.  Every output row depends on its own tet
+    only, so the blocks change no bit of the result.
+    """
+    m = len(tets)
+    sj, det0 = np.empty(m), np.empty(m)
+    rows = np.ascontiguousarray(vertices.T)
+    for lo in range(0, m, _BLOCK):
+        block = tets[lo : lo + _BLOCK].T
+        p = [rows.take(block[k], axis=1) for k in range(4)]
+        n = block.shape[1]
+        vals = np.empty((4, n))
+        e1_t, cross = np.empty((n, 3)), np.empty((n, 3))
+        lengths = {}
+        for ci, (a, b, c) in enumerate(_CORNER_ORDERS):
+            e1, e2, e3 = p[a] - p[ci], p[b] - p[ci], p[c] - p[ci]
+            for k in range(3):
+                i, j = (k + 1) % 3, (k + 2) % 3
+                cross[:, k] = e2[i] * e3[j] - e2[j] * e3[i]
+            e1_t[...] = e1.T
+            det = np.einsum("ij,ij->i", e1_t, cross)
+            if ci == 0:
+                det0[lo : lo + n] = det
+            den = (_edge_length(lengths, ci, a, e1) * _edge_length(lengths, ci, b, e2)
+                   * _edge_length(lengths, ci, c, e3))
+            with np.errstate(invalid="ignore", divide="ignore"):
+                vals[ci] = np.where(den > 0, det / np.maximum(den, 1e-300), 0.0)
+        sj[lo : lo + n] = np.clip(vals.min(axis=0) / _REGULAR_CORNER, -1.0, 1.0)
+    return sj, det0
 
 
 def _edge_length(lengths, i, j, d):
-    """Length of the edge d between corners i and j, computed at whichever
-    end comes first: p[j] - p[i] and p[i] - p[j] square alike, and the
-    arithmetic is np.linalg.norm's."""
+    """Length of the edge d (3, B) between corners i and j, computed at
+    whichever end comes first: p[j] - p[i] and p[i] - p[j] square alike, and
+    the sum of squares is np.linalg.norm's, (x*x + y*y) + z*z."""
     key = (i, j) if i < j else (j, i)
     if key not in lengths:
-        lengths[key] = np.sqrt(np.add.reduce(d * d, axis=1))
+        lengths[key] = np.sqrt(np.add.reduce(d * d))
     return lengths[key]
 
 
@@ -251,8 +275,7 @@ def tetrahedralize(surface: SurfaceMesh, max_volume_mm3: float) -> TetMesh:
 
 def assess(mesh: TetMesh) -> QualityReport:
     """Per-element quality; flags the mesh invalid on any non-positive element."""
-    corners = [mesh.vertices.take(mesh.tets[:, k], axis=0) for k in range(4)]
-    sj, det0 = _corner_jacobians(corners)
+    sj, det0 = _corner_jacobians(mesh.vertices, mesh.tets)
     vol = det0 / 6.0  # corner 0's edges are TetMesh.volumes()'s
     n_bad = int(np.sum(sj <= 0.0))
     return QualityReport(

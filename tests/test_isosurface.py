@@ -395,6 +395,16 @@ def test_decimate_rejects_vertices_that_are_not_finite(bad):
         decimate(SurfaceMesh(verts, surf.triangles), 20)
 
 
+def test_decimate_rejects_vertices_whose_quadrics_overflow():
+    # every coordinate is finite, but a plane offset near 1e160 squares to inf
+    mask = random_blob(np.random.default_rng(3), (8, 8, 8))
+    surf = marching_cubes(LabelVolume(mask.astype(np.int32), (1, 1, 1)), 1)
+    huge = SurfaceMesh(surf.vertices * 1e160, surf.triangles)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(IsosurfaceError, match="^7931 vertex quadric terms are not finite"):
+        decimate(huge, 100)
+
+
 @settings(max_examples=20)
 @given(st.integers(0, 2**32 - 1), st.floats(0.02, 0.4))
 def test_decimate_matches_oracle_on_open_surfaces(seed, drop):

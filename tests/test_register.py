@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,28 @@ def test_compose_analytic_scalings(small_phantom):
                        DisplacementField(u24, (1, 1, 1)))
     sl = np.s_[8:-8, 8:-8, 8:-8]
     np.testing.assert_allclose(f.u[sl], u04[sl], atol=1e-9)
+
+
+def test_compose_fields_peak_memory():
+    # everything composing two 48^3 fields allocates, the output included;
+    # the output alone is 2.5 MiB
+    rng = np.random.default_rng(6)
+    a, b = (DisplacementField(rng.normal(0.0, 2.0, (48, 48, 48, 3)), (1.0, 1.1, 0.9), (-3.0, 2.0, 1.0))
+            for _ in range(2))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        composed = compose_fields(a, b)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 10 * 2**20
+    written_out = a.u + b.sample(a.as_volume().voxel_centers() + a.u)
+    assert composed.u.tobytes() == written_out.tobytes()
 
 
 # ---------------------------------------------------------------------------

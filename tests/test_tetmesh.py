@@ -1,10 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from lvmesh import geometry
+from lvmesh import geometry, tetmesh
 from lvmesh.isosurface import SurfaceMesh
 from lvmesh.register import DisplacementField
 from lvmesh.tetmesh import (
@@ -160,15 +162,24 @@ def _assert_quality_matches_oracle(mesh):
     return ref_sj, ref_vol
 
 
-def test_quality_matches_oracle_bitwise(ed_tetmesh):
-    # the ED mesh, and jittered copies in which many tets are inverted
-    _assert_quality_matches_oracle(ed_tetmesh)
-    rng = np.random.default_rng(4)
-    for sigma in (0.3, 1.0):
-        jittered = TetMesh(ed_tetmesh.vertices + rng.normal(0.0, sigma, ed_tetmesh.vertices.shape),
-                           ed_tetmesh.tets, ed_tetmesh.boundary_map)
-        sj, _ = _assert_quality_matches_oracle(jittered)
-        assert (sj < 0).any() and (sj > 0).any()
+@pytest.mark.parametrize("block", [tetmesh._BLOCK, 7])
+def test_quality_matches_oracle_bitwise(ed_tetmesh, block):
+    # the ED mesh, and jittered copies in which many tets are inverted, at
+    # the module's block size and a tiny one: either way the tets span
+    # several blocks and a ragged last block; the first 2 * block + 1 tets
+    # end in a block of one
+    m = len(ed_tetmesh.tets)
+    assert m > 2 * block + 1 and m % block > 1
+    with mock.patch.object(tetmesh, "_BLOCK", block):
+        _assert_quality_matches_oracle(ed_tetmesh)
+        _assert_quality_matches_oracle(TetMesh(ed_tetmesh.vertices, ed_tetmesh.tets[: 2 * block + 1],
+                                               ed_tetmesh.boundary_map))
+        rng = np.random.default_rng(4)
+        for sigma in (0.3, 1.0):
+            jittered = TetMesh(ed_tetmesh.vertices + rng.normal(0.0, sigma, ed_tetmesh.vertices.shape),
+                               ed_tetmesh.tets, ed_tetmesh.boundary_map)
+            sj, _ = _assert_quality_matches_oracle(jittered)
+            assert (sj < 0).any() and (sj > 0).any()
 
 
 def test_quality_matches_oracle_on_degenerate_tets():

@@ -1,5 +1,6 @@
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -234,8 +235,13 @@ def test_trilinear_rejects_nan_points(shape, axis):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8])
 @pytest.mark.parametrize("channels", [(), (1,), (3,)])
 @pytest.mark.parametrize("shape", [(5, 6, 7), (1, 4, 5), (3, 1, 2), (1, 1, 1)])
-@pytest.mark.parametrize("points_shape", [(3,), (40, 3), (4, 5, 3)])
-def test_trilinear_matches_branching_oracle_bitwise(dtype, channels, shape, points_shape):
+@pytest.mark.parametrize("points_shape", [(3,), (0, 3), (40, 3), (4, 5, 3), "2 blocks + 5"])
+@pytest.mark.parametrize("block", [volume._BLOCK, 7])
+def test_trilinear_matches_branching_oracle_bitwise(dtype, channels, shape, points_shape, block):
+    # the module's block size and a tiny one, across several blocks and a
+    # ragged last block
+    if points_shape == "2 blocks + 5":
+        points_shape = (2 * block + 5, 3)
     rng = np.random.default_rng(8)
     data = rng.uniform(0.0, 255.0, shape + channels).astype(dtype)
     vol = ImageVolume(data, (0.7, 1.3, 2.1), (-1.0, 2.0, 0.5))
@@ -247,10 +253,13 @@ def test_trilinear_matches_branching_oracle_bitwise(dtype, channels, shape, poin
     flat[::3] = np.clip(flat[::3], lo, hi)
     flat[1::5] = hi
     for want_gradient in (False, True):
-        got = volume._trilinear(vol, pts, want_gradient)
+        with mock.patch.object(volume, "_BLOCK", block):
+            got = volume._trilinear(vol, pts, want_gradient)
         ref = _oracles.sample_trilinear_paths(vol, pts, want_gradient)
+        assert got[0].shape == points_shape[:-1] + channels
         assert got[0].shape == ref[0].shape and got[0].tobytes() == ref[0].tobytes()
         if want_gradient:
+            assert got[1].shape == points_shape[:-1] + (3,) + channels
             assert got[1].shape == ref[1].shape and got[1].tobytes() == ref[1].tobytes()
         else:
             assert got[1] is None and ref[1] is None
