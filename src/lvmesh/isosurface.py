@@ -191,6 +191,11 @@ def _vertex_quadrics(verts, tris):
     """(N, 10) sum of the plane quadrics p p^T of each vertex's triangles."""
     n = geometry.triangle_normals(verts, tris)
     norm = np.linalg.norm(n, axis=1)
+    # an infinite norm would scale its plane to zero, a NaN one drop its triangle
+    overflow = np.count_nonzero(~np.isfinite(norm))
+    if overflow:
+        raise IsosurfaceError(f"{overflow} triangle normals have a norm that is not finite; "
+                              "the vertex coordinates are too large")
     keep = norm > 1e-300
     n = n[keep] / norm[keep][:, None]
     d = -np.einsum("ij,ij->i", n, verts[tris[keep, 0]])

@@ -22,6 +22,8 @@ import numpy as np
 
 from .volume import (
     ImageVolume,
+    _BLOCK as _SAMPLE_BLOCK,
+    _grid_centers,
     sample_trilinear,
     sample_trilinear_with_gradient,
 )
@@ -378,15 +380,20 @@ def _first_node(ffd: FfdTransform, j: np.ndarray):
     return first, (lz * ncy + ly) * ncx + lx
 
 
+# sample points per block of _ffd_objective: a block's work arrays take
+# about 7 KiB per point
+_BLOCK = 1024
+
 # (a, b, multiplicity) of the six second-derivative pairs of the bending energy
 _PAIRS = ((0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (0, 1, 2.0), (0, 2, 2.0), (1, 2, 2.0))
 
 
-def _work_array(scratch: dict, name: str, shape, dtype=np.float64) -> np.ndarray:
-    """``scratch[name]``, made on first use."""
-    if name not in scratch:
-        scratch[name] = np.empty(shape, dtype)
-    return scratch[name]
+def _work_rows(scratch: dict, name: str, rows: int, shape, dtype=np.float64) -> np.ndarray:
+    """The first ``rows`` rows of ``scratch[name]``, an array of rows of
+    ``shape``, made on first use or when too short."""
+    if name not in scratch or len(scratch[name]) < rows:
+        scratch[name] = np.empty((rows,) + shape, dtype)
+    return scratch[name][:rows]
 
 
 def _ffd_objective(ffd: FfdTransform, pts: np.ndarray, bending_weight: float, scratch: dict,
@@ -398,18 +405,62 @@ def _ffd_objective(ffd: FfdTransform, pts: np.ndarray, bending_weight: float, sc
     ``images = (fixed, moving)``, and 0 without images.  bending is the mean
     over points of the squared second derivatives (the six pairs, mixed ones
     twice); it is computed only when ``energy`` is set, and None otherwise.
+    No points, or points that are not finite, raise ``RegistrationError``.
+
+    The fixed image is sampled at all points at once; the rest runs _BLOCK
+    points at a time (see ``_ffd_block``).  Each block's residuals and
+    per-pair squared second derivatives go into arrays over all points,
+    whose means give sim and bending, and each block's support terms are
+    added onto the gradient by one ``np.add.at``, block after block: the
+    same sums in the same order as one ``np.bincount`` over all points, so
+    the block size changes no bit.  ``scratch``, kept by the caller from
+    call to call, holds the work arrays of one block: fresh ones would cost
+    more in page faults than the arithmetic done in them.
+    """
+    n = pts.shape[0]
+    if n == 0:
+        raise RegistrationError("no FFD sample points")
+    bad = np.count_nonzero(~np.isfinite(pts).all(axis=1))
+    if bad:
+        raise RegistrationError(f"{bad} FFD sample point(s) are not finite")
+    grad = np.zeros(ffd.coeffs.size)
+    # the fixed image's samples, replaced block by block by the residuals
+    r = None if images is None else sample_trilinear(images[0], pts)
+    squares = np.empty((len(_PAIRS), n)) if energy else None
+    for lo in range(0, n, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        index, terms = _ffd_block(ffd, pts[block], n, bending_weight, scratch,
+                                  None if images is None else images[1],
+                                  None if r is None else r[block],
+                                  None if squares is None else squares[:, block])
+        np.add.at(grad, index, terms)
+    sim = 0.0 if r is None else float(np.mean(r * r))
+    bending = None
+    if energy:
+        bending = 0.0
+        for (_, _, mult), sq in zip(_PAIRS, squares):
+            bending += mult * float(np.mean(sq))
+    return sim, bending, grad.reshape(ffd.coeffs.shape)
+
+
+def _ffd_block(ffd: FfdTransform, pts: np.ndarray, n: int, bending_weight: float,
+               scratch: dict, moving, r, squares):
+    """One block of ``_ffd_objective``, m = ``len(pts)`` of its n points.
+
+    With a ``moving`` image, r holds the block's fixed-image samples and
+    gets its residuals; ``squares``, when given, gets each pair's squared
+    second derivatives summed over the components, one row per pair.
+    Returns the block's flat support rows and their gradient terms, each
+    m * 192 long.
 
     The basis factors per axis, so the 64 support values of each point are
     contracted with the x basis (orders 0, 1, 2), the results with the y
     basis, then with the z basis: one batched matmul per axis, each a sum of
     4 products.  That yields the displacement (orders 0, 0, 0) and the six
     second derivatives together.  The gradient runs the same matmuls
-    backward, z, then y, then x, into one (n, 192) array of support terms,
-    which one ``np.bincount`` scatters onto the coefficients.  ``scratch``,
-    kept by the caller from call to call, holds the work arrays: for n = 2048
-    fresh ones cost more in page faults than the arithmetic done in them.
+    backward, z, then y, then x, into one (m, 192) array of support terms.
     """
-    n = pts.shape[0]
+    m = pts.shape[0]
     j, t = _lattice_coords(ffd, pts)
     first, offsets = _first_node(ffd, j)
     # support values ordered (ly, lz, c, lx): the x matmul below contracts
@@ -417,55 +468,50 @@ def _ffd_objective(ffd: FfdTransform, pts: np.ndarray, bending_weight: float, sc
     # and the z matmul, broadcast over the y orders, the next one
     offsets = 3 * offsets.transpose(1, 0, 2)[:, :, None, :] + np.arange(3)[:, None]
     index = np.add((3 * first)[:, None], offsets.reshape(1, 192),
-                   out=_work_array(scratch, "index", (n, 192), np.intp))
-    # with out=, mode "raise" would buffer a copy; bincount below rejects
-    # any index that the clip could have hidden
+                   out=_work_rows(scratch, "index", m, (192,), np.intp))
+    # with out=, mode "raise" would buffer a copy; finite points have every
+    # support node on the lattice, so the clip changes no index
     values = ffd.coeffs.reshape(-1).take(index, mode="clip",
-                                         out=_work_array(scratch, "values", (n, 192)))
+                                         out=_work_rows(scratch, "values", m, (192,)))
 
     # bases[:, axis, order, l] and its transpose over (order, l)
-    bases = _work_array(scratch, "bases", (n, 3, 3, 4))
+    bases = _work_rows(scratch, "bases", m, (3, 3, 4))
     for order, basis in enumerate((_bspline_basis, _bspline_basis_d1, _bspline_basis_d2)):
         for l, b in enumerate(basis(t)):
             bases[:, :, order, l] = b
-    bases_t = _work_array(scratch, "bases_t", (n, 3, 4, 3))
+    bases_t = _work_rows(scratch, "bases_t", m, (3, 4, 3))
     bases_t[...] = bases.transpose(0, 1, 3, 2)
 
     # forward: derivs[:, ky, kz, c, kx] is the (kx, ky, kz)-th derivative
     # of component c; the backward pass reuses the x and y buffers
-    xs = np.matmul(values.reshape(n, 48, 4), bases_t[:, 0],
-                   out=_work_array(scratch, "x", (n, 48, 3)))
-    ys = np.matmul(bases[:, 1], xs.reshape(n, 4, 36),
-                   out=_work_array(scratch, "y", (n, 3, 36)))
-    derivs = _work_array(scratch, "derivs", (n, 3, 3, 3, 3))
-    np.matmul(bases[:, None, 2], ys.reshape(n, 3, 4, 9), out=derivs.reshape(n, 3, 3, 9))
+    xs = np.matmul(values.reshape(m, 48, 4), bases_t[:, 0],
+                   out=_work_rows(scratch, "x", m, (48, 3)))
+    ys = np.matmul(bases[:, 1], xs.reshape(m, 4, 36),
+                   out=_work_rows(scratch, "y", m, (3, 36)))
+    derivs = _work_rows(scratch, "derivs", m, (3, 3, 3, 3))
+    np.matmul(bases[:, None, 2], ys.reshape(m, 3, 4, 9), out=derivs.reshape(m, 3, 3, 9))
 
     # backward: bars holds d(loss)/d(derivs)
-    bars = _work_array(scratch, "bars", (n, 3, 3, 3, 3))
+    bars = _work_rows(scratch, "bars", m, (3, 3, 3, 3))
     bars.fill(0.0)
-    sim = 0.0
-    if images is not None:
-        fixed, moving = images
+    if moving is not None:
         warped, grads = sample_trilinear_with_gradient(moving, pts + derivs[:, 0, 0, :, 0])
-        r = warped - sample_trilinear(fixed, pts)
-        sim = float(np.mean(r * r))
+        np.subtract(warped, r, out=r)
         bars[:, 0, 0, :, 0] = (2.0 / n) * r[:, None] * grads
-    bending = 0.0 if energy else None
     scale = [1.0 / d for d in ffd.lattice_spacing]
-    for a, b, mult in _PAIRS:
+    for p, (a, b, mult) in enumerate(_PAIRS):
         k = [0, 0, 0]
         k[a] += 1
         k[b] += 1
         s = scale[a] * scale[b]
         d2 = s * derivs[:, k[1], k[2], :, k[0]]
-        if energy:
-            bending += mult * float(np.mean(np.sum(d2 * d2, axis=1)))
+        if squares is not None:
+            np.sum(d2 * d2, axis=1, out=squares[p])
         bars[:, k[1], k[2], :, k[0]] = ((bending_weight * mult * 2.0 / n) * s) * d2
-    ys = np.matmul(bases_t[:, None, 2], bars.reshape(n, 3, 3, 9), out=ys.reshape(n, 3, 4, 9))
-    xs = np.matmul(bases_t[:, 1], ys.reshape(n, 3, 36), out=xs.reshape(n, 4, 36))
-    terms = np.matmul(xs.reshape(n, 48, 3), bases[:, 0], out=values.reshape(n, 48, 4))
-    grad = np.bincount(index.ravel(), terms.ravel(), minlength=ffd.coeffs.size)
-    return sim, bending, grad.reshape(ffd.coeffs.shape)
+    ys = np.matmul(bases_t[:, None, 2], bars.reshape(m, 3, 3, 9), out=ys.reshape(m, 3, 4, 9))
+    xs = np.matmul(bases_t[:, 1], ys.reshape(m, 3, 36), out=xs.reshape(m, 4, 36))
+    terms = np.matmul(xs.reshape(m, 48, 3), bases[:, 0], out=values.reshape(m, 48, 4))
+    return index.reshape(-1), terms.reshape(-1)
 
 
 def bending_energy(ffd: FfdTransform, pts: np.ndarray):
@@ -575,12 +621,18 @@ def register_sequence(frames, config: RegistrationConfig | None = None,
 
 
 def compose_fields(f_ab: DisplacementField, f_bc: DisplacementField) -> DisplacementField:
-    """(f_ab then f_bc): u(x) = u_ab(x) + u_bc(x + u_ab(x))."""
-    # both sums run in place, which keeps one grid-sized array fewer alive;
-    # u_ab + s and s + u_ab are the same bits
-    pts = f_ab.as_volume().voxel_centers()
-    pts += f_ab.u
-    u = f_bc.sample(pts)
-    u += f_ab.u
-    return DisplacementField(u, f_ab.spacing, f_ab.origin)
+    """(f_ab then f_bc): u(x) = u_ab(x) + u_bc(x + u_ab(x)).
 
+    The grid is composed in z-slabs of about as many voxels as one block of
+    trilinear sampling, so only the output is grid-sized.  Each voxel's
+    value depends on its own center alone, so the slabs change no bit.
+    """
+    nz, ny, nx = f_ab.u.shape[:3]
+    depth = max(1, _SAMPLE_BLOCK // (ny * nx))
+    u = np.empty_like(f_ab.u)
+    for lo in range(0, nz, depth):
+        zs = slice(lo, lo + depth)
+        pts = _grid_centers((nx, ny, nz), f_ab.spacing, f_ab.origin, zs)
+        pts += f_ab.u[zs]
+        np.add(f_bc.sample(pts), f_ab.u[zs], out=u[zs])  # s + u_ab: the bits of u_ab + s
+    return DisplacementField(u, f_ab.spacing, f_ab.origin)

@@ -86,19 +86,22 @@ class ImageVolume:
         return _grid_centers(self.dims, self.spacing, self.origin)
 
 
-def _grid_centers(dims, spacing, origin) -> np.ndarray:
+def _grid_centers(dims, spacing, origin, zs=slice(None)) -> np.ndarray:
     """Physical coordinates of the voxel centers of an (nx, ny, nz) grid,
-    shape (nz, ny, nx, 3)."""
+    shape (nz, ny, nx, 3); those of the z slices ``zs`` only when given.
+
+    Each coordinate is broadcast from its axis vector into one output
+    array.  A slab's z values are cut from the whole grid's axis vector, so
+    they are the bits of the whole grid's centers."""
     nx, ny, nz = dims
     sx, sy, sz = spacing
     ox, oy, oz = origin
-    zz, yy, xx = np.meshgrid(
-        oz + sz * np.arange(nz),
-        oy + sy * np.arange(ny),
-        ox + sx * np.arange(nx),
-        indexing="ij",
-    )
-    return np.stack([xx, yy, zz], axis=-1)
+    z = (oz + sz * np.arange(nz))[zs]
+    centers = np.empty((len(z), ny, nx, 3))
+    centers[..., 0] = ox + sx * np.arange(nx)
+    centers[..., 1] = (oy + sy * np.arange(ny))[:, None]
+    centers[..., 2] = z[:, None, None]
+    return centers
 
 
 @dataclass(frozen=True)

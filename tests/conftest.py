@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -66,3 +67,21 @@ def random_blob(rng, shape=(12, 12, 12)):
         return mask
     sizes = ndimage.sum(mask, lbl, range(1, n + 1))
     return lbl == (1 + int(np.argmax(sizes)))
+
+
+def traced_peak(fn, *args):
+    """``(fn(*args), peak)``: peak is the most memory the call held at once
+    under tracemalloc beyond what was held before it, its result included.
+    Tracing is started and stopped here unless it is already on."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak

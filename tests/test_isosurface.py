@@ -1,5 +1,4 @@
 import cProfile
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from conftest import random_blob
+from conftest import random_blob, traced_peak
 from lvmesh import geometry, isosurface, phantom
 from lvmesh.isosurface import (
     IsosurfaceError,
@@ -305,17 +304,7 @@ def test_decimate_peak_memory_per_input_vertex():
     # a code object's line table only once it has run under a profiler, and
     # without that cache the collapse loop runs about ten times slower
     cProfile.Profile().runcall(decimate, surf, surf.n_vertices)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        decimate(surf, 300)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    _, peak = traced_peak(decimate, surf, 300)
     assert peak / surf.n_vertices < 1700
 
 
@@ -396,13 +385,35 @@ def test_decimate_rejects_vertices_that_are_not_finite(bad):
 
 
 def test_decimate_rejects_vertices_whose_quadrics_overflow():
-    # every coordinate is finite, but a plane offset near 1e160 squares to inf
+    # every coordinate is finite, but the normals near 1e160 overflow
     mask = random_blob(np.random.default_rng(3), (8, 8, 8))
     surf = marching_cubes(LabelVolume(mask.astype(np.int32), (1, 1, 1)), 1)
     huge = SurfaceMesh(surf.vertices * 1e160, surf.triangles)
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(IsosurfaceError, match="^7931 vertex quadric terms are not finite"):
+            pytest.raises(IsosurfaceError, match="^1960 triangle normals have a norm that is not"):
         decimate(huge, 100)
+
+
+@pytest.mark.parametrize("scale", [1e78, 1e150])
+def test_decimate_rejects_normals_whose_norm_overflows(scale):
+    # every normal is finite but its squared norm is not, and n / inf would
+    # make every plane, so every quadric, zero
+    mask = random_blob(np.random.default_rng(3), (8, 8, 8))
+    surf = marching_cubes(LabelVolume(mask.astype(np.int32), (1, 1, 1)), 1)
+    huge = SurfaceMesh(surf.vertices * scale, surf.triangles)
+    assert np.isfinite(geometry.triangle_normals(huge.vertices, huge.triangles)).all()
+    with np.errstate(over="ignore"), \
+            pytest.raises(IsosurfaceError, match="^1960 triangle normals have a norm that is not"):
+        decimate(huge, 100)
+
+
+def test_decimate_below_normal_overflow():
+    mask = random_blob(np.random.default_rng(3), (8, 8, 8))
+    surf = marching_cubes(LabelVolume(mask.astype(np.int32), (1, 1, 1)), 1)
+    with np.errstate(all="raise"):
+        out = decimate(SurfaceMesh(surf.vertices * 1e76, surf.triangles), 100)
+    assert out.n_vertices == 100
+    assert out.is_watertight()
 
 
 @settings(max_examples=20)

@@ -1,6 +1,6 @@
 import copy
 import dataclasses
-import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
+from conftest import traced_peak
 from lvmesh import phantom, pipeline, register
 from lvmesh.register import (
     DisplacementField,
@@ -302,18 +303,20 @@ def test_compose_fields_peak_memory():
     rng = np.random.default_rng(6)
     a, b = (DisplacementField(rng.normal(0.0, 2.0, (48, 48, 48, 3)), (1.0, 1.1, 0.9), (-3.0, 2.0, 1.0))
             for _ in range(2))
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
+    composed, peak = traced_peak(compose_fields, a, b)
+    assert peak < 3.5 * 2**20
+    written_out = a.u + b.sample(a.as_volume().voxel_centers() + a.u)
+    assert composed.u.tobytes() == written_out.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 200, 10**6])
+def test_compose_fields_slabs_match_whole_grid(block):
+    # slabs of one slice, of two slices with a ragged last one, and one slab
+    rng = np.random.default_rng(9)
+    a, b = (DisplacementField(rng.normal(0.0, 2.0, (13, 9, 11, 3)), (0.7, 1.3, 2.1), (-5.0, 2.5, -1.5))
+            for _ in range(2))
+    with mock.patch.object(register, "_SAMPLE_BLOCK", block):
         composed = compose_fields(a, b)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert peak < 10 * 2**20
     written_out = a.u + b.sample(a.as_volume().voxel_centers() + a.u)
     assert composed.u.tobytes() == written_out.tobytes()
 
@@ -663,3 +666,66 @@ def test_ffd_objective_gradient_finite_differences(weight):
         cm[idx] -= h
         fd = (total(cp) - total(cm)) / (2 * h)
         assert abs(fd - g[idx]) <= 1e-6 * np.abs(g).max(), idx
+
+
+def _objective_case(n):
+    rng = np.random.default_rng(21)
+    shape, spacing, origin = (9, 10, 11), (0.9, 1.2, 1.1), (-4.0, -2.5, 1.5)
+    fixed = ImageVolume(rng.random(shape), spacing, origin)
+    moving = ImageVolume(rng.random(shape), spacing, origin)
+    ffd = make_lattice(fixed, 3.0)
+    ffd = dataclasses.replace(ffd, coeffs=rng.normal(0.0, 1.5, ffd.coeffs.shape))
+    # points inside and outside the grid, where lattice and images clamp
+    lo = np.asarray(origin) - 4.0
+    hi = np.asarray(origin) + (np.asarray(fixed.dims) - 1) * np.asarray(spacing) + 4.0
+    return ffd, rng.uniform(lo, hi, size=(n, 3)), (fixed, moving)
+
+
+@pytest.mark.parametrize("energy", [False, True])
+@pytest.mark.parametrize("with_images", [False, True])
+@pytest.mark.parametrize("n", [1, 20, 2 * register._BLOCK + 5])
+def test_ffd_objective_blocks_change_no_bit(n, with_images, energy):
+    # the module's block size, a tiny one and one block over all points;
+    # one block scatters like a single np.bincount over all support terms
+    ffd, pts, (fixed, moving) = _objective_case(n)
+    images = (fixed, moving) if with_images else None
+    results = []
+    for block in (register._BLOCK, 7, n):
+        with mock.patch.object(register, "_BLOCK", block):
+            results.append(register._ffd_objective(ffd, pts, 0.03, {}, images, energy))
+    r = register.sample_trilinear(fixed, pts) if with_images else None
+    index, terms = register._ffd_block(ffd, pts, n, 0.03, {}, moving if with_images else None,
+                                       r, None)
+    whole = np.bincount(index, terms, minlength=ffd.coeffs.size)
+    assert results[-1][2].tobytes() == whole.tobytes()
+    for sim, bending, grad in results:
+        assert np.float64(sim).tobytes() == np.float64(results[-1][0]).tobytes()
+        assert (bending is None) == (not energy)
+        if energy:
+            assert np.float64(bending).tobytes() == np.float64(results[-1][1]).tobytes()
+        assert grad.tobytes() == results[-1][2].tobytes()
+    assert (results[0][0] > 0) == with_images
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ffd_rejects_points_that_are_not_finite(bad):
+    ffd, pts, images = _objective_case(20)
+    pts[[3, 11], [0, 2]] = bad
+    with pytest.raises(RegistrationError, match="^2 FFD sample point"):
+        bending_energy(ffd, pts)
+    with pytest.raises(RegistrationError, match="^2 FFD sample point"):
+        register._ffd_objective(ffd, pts, 0.01, {}, images)
+    with pytest.raises(RegistrationError, match="^no FFD sample points"):
+        bending_energy(ffd, np.empty((0, 3)))
+
+
+def test_ffd_objective_peak_memory():
+    # one FFD step of register_ffd: 2,048 samples on the 48^3 grid's lattice
+    # at the default 8-voxel control spacing, images and energy included
+    rng = np.random.default_rng(5)
+    fixed, moving = (ImageVolume(rng.random((48, 48, 48)), (1.0, 1.0, 1.0)) for _ in range(2))
+    ffd = make_lattice(fixed, 8.0)
+    ffd = dataclasses.replace(ffd, coeffs=rng.normal(0.0, 1.0, ffd.coeffs.shape))
+    pts = rng.uniform(0.0, 47.0, size=(2048, 3))
+    _, peak = traced_peak(register._ffd_objective, ffd, pts, 0.01, {}, (fixed, moving), True)
+    assert peak < 8 * 2**20

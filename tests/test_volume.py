@@ -377,6 +377,22 @@ def test_same_grid():
     assert not a.same_grid(b)
 
 
+@pytest.mark.parametrize("dims, spacing, origin", [
+    ((5, 7, 9), (0.7, 1.3, 2.1), (-3.5, -0.25, -11.0)),
+    ((1, 3, 1), (1.9, 0.3, 5.0), (-1e3, 7.0, -0.1)),
+])
+def test_grid_centers_match_meshgrid_and_stack(dims, spacing, origin):
+    nx, ny, nz = dims
+    (sx, sy, sz), (ox, oy, oz) = spacing, origin
+    zz, yy, xx = np.meshgrid(oz + sz * np.arange(nz), oy + sy * np.arange(ny),
+                             ox + sx * np.arange(nx), indexing="ij")
+    ref = np.stack([xx, yy, zz], axis=-1)
+    got = volume._grid_centers(dims, spacing, origin)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    for zs in (slice(0, 1), slice(2, 5), slice(nz - 1, nz + 3)):
+        assert volume._grid_centers(dims, spacing, origin, zs).tobytes() == ref[zs].tobytes()
+
+
 def test_voxel_centers_physical_coordinates():
     vol = ImageVolume(np.zeros((2, 3, 4)), (0.5, 1.0, 2.0), (10.0, 20.0, 30.0))
     c = vol.voxel_centers()
