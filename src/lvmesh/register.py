@@ -623,12 +623,13 @@ def register_sequence(frames, config: RegistrationConfig | None = None,
 def compose_fields(f_ab: DisplacementField, f_bc: DisplacementField) -> DisplacementField:
     """(f_ab then f_bc): u(x) = u_ab(x) + u_bc(x + u_ab(x)).
 
-    The grid is composed in z-slabs of about as many voxels as one block of
-    trilinear sampling, so only the output is grid-sized.  Each voxel's
-    value depends on its own center alone, so the slabs change no bit.
+    The grid is composed in z-slabs of the fewest slices that hold one
+    block of trilinear sampling, so only the output is grid-sized and each
+    sampling call still fills a whole block.  Each voxel's value depends on
+    its own center alone, so the slabs change no bit.
     """
     nz, ny, nx = f_ab.u.shape[:3]
-    depth = max(1, _SAMPLE_BLOCK // (ny * nx))
+    depth = -(-_SAMPLE_BLOCK // (ny * nx))
     u = np.empty_like(f_ab.u)
     for lo in range(0, nz, depth):
         zs = slice(lo, lo + depth)

@@ -385,13 +385,20 @@ def test_decimate_rejects_vertices_that_are_not_finite(bad):
 
 
 def test_decimate_rejects_vertices_whose_quadrics_overflow():
-    # every coordinate is finite, but the normals near 1e160 overflow
-    mask = random_blob(np.random.default_rng(3), (8, 8, 8))
-    surf = marching_cubes(LabelVolume(mask.astype(np.int32), (1, 1, 1)), 1)
-    huge = SurfaceMesh(surf.vertices * 1e160, surf.triangles)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(IsosurfaceError, match="^1960 triangle normals have a norm that is not"):
-        decimate(huge, 100)
+    # an open 6 x 6 grid of unit squares in the plane z = 1e160: every normal
+    # is (0, 0, 1), but the plane offset d = -1e160 squares to inf, one
+    # quadric term per vertex
+    k = 6
+    y, x = np.mgrid[0:k, 0:k]
+    verts = np.column_stack([x.ravel(), y.ravel(), np.full(k * k, 1e160)]).astype(float)
+    i = (y[:-1, :-1] * k + x[:-1, :-1]).ravel()
+    tris = np.concatenate([np.column_stack([i, i + 1, i + k + 1]),
+                           np.column_stack([i, i + k + 1, i + k])])
+    normals = geometry.triangle_normals(verts, tris)
+    assert (np.linalg.norm(normals, axis=1) == 1).all()
+    with np.errstate(over="ignore"), \
+            pytest.raises(IsosurfaceError, match="^36 vertex quadric terms are not finite"):
+        decimate(SurfaceMesh(verts, tris), 10)
 
 
 @pytest.mark.parametrize("scale", [1e78, 1e150])

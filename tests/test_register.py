@@ -304,14 +304,14 @@ def test_compose_fields_peak_memory():
     a, b = (DisplacementField(rng.normal(0.0, 2.0, (48, 48, 48, 3)), (1.0, 1.1, 0.9), (-3.0, 2.0, 1.0))
             for _ in range(2))
     composed, peak = traced_peak(compose_fields, a, b)
-    assert peak < 3.5 * 2**20
+    assert peak < 3.75 * 2**20
     written_out = a.u + b.sample(a.as_volume().voxel_centers() + a.u)
     assert composed.u.tobytes() == written_out.tobytes()
 
 
 @pytest.mark.parametrize("block", [1, 200, 10**6])
 def test_compose_fields_slabs_match_whole_grid(block):
-    # slabs of one slice, of two slices with a ragged last one, and one slab
+    # slabs of one slice, of three slices with a ragged last one, and one slab
     rng = np.random.default_rng(9)
     a, b = (DisplacementField(rng.normal(0.0, 2.0, (13, 9, 11, 3)), (0.7, 1.3, 2.1), (-5.0, 2.5, -1.5))
             for _ in range(2))
